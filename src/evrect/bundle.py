@@ -116,7 +116,10 @@ def read_bundle(data: bytes) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
     while pos < len(data):
         if pos + 12 > len(data):
             raise DataError("bundle: truncated section header")
-        tag = data[pos : pos + 4].decode("ascii")
+        try:
+            tag = data[pos : pos + 4].decode("ascii")
+        except UnicodeDecodeError:
+            raise DataError(f"bundle: section tag {data[pos : pos + 4]!r} is not ASCII") from None
         (length,) = struct.unpack("<Q", data[pos + 4 : pos + 12])
         pos += 12
         if pos + length > len(data):
@@ -124,7 +127,12 @@ def read_bundle(data: bytes) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
         payload = bytes(data[pos : pos + length])
         pos += length
         if tag == "META":
-            meta = json.loads(payload.decode("utf-8"))
+            try:
+                meta = json.loads(payload.decode("utf-8"))
+            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both
+                raise DataError(f"bundle: META is not UTF-8 JSON ({exc})") from None
+            if not isinstance(meta, dict):
+                raise DataError("bundle: META is not a JSON object")
         else:
             sections[tag] = _decode_arrays(payload, tag)
     if meta is None:

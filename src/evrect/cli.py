@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .bundle import export_text
 from .detector import evaluate
-from .errors import DataError, UsageError
+from .errors import DataError, EvrectError, UsageError
 from .events import SensorGeometry, parse_csv, write_csv
 from .filtering import FilterConfig, cascade
 from .kdtree import dump_rom
@@ -349,7 +349,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--dump-heat", dest="dump_heat", help="directory for PGM matrix dumps")
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("bench", help="per-event latency report")
+    p = sub.add_parser(
+        "bench", help="throughput and per-stage us/event of the classify path (no per-event latency)"
+    )
     p.add_argument("--bundle", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--profile", choices=["float", "hardware"])
@@ -379,10 +381,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EvrectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

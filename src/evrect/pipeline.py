@@ -13,6 +13,7 @@ changes the feature computation, only descent and scoring numerics.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,7 +22,6 @@ from . import bundle as bundle_mod
 from . import pca as pca_mod
 from .classifier import (
     StreamModel,
-    StreamScorer,
     SvmModel,
     classify_batch,
     export_stream,
@@ -32,17 +32,15 @@ from .detector import DetectorModel, HeatMapTracker, compute_stats, select_landm
 from .dictionary import Dictionary, learn, windows_from_leaves
 from .errors import CapacityError, DataError
 from .events import EventStream, SensorGeometry
-from .filtering import CascadeFilter, FilterConfig, cascade
+from .filtering import FilterConfig, cascade
 from .kdtree import (
     KdTree,
     PackedTree,
     VirtualProjection,
     build,
-    descend,
     descend_batch,
     harvest_dims,
     pack,
-    quantized_descend,
     structural_equal,
     unpack,
 )
@@ -376,24 +374,58 @@ def window_spans(n: int, s: int) -> list[tuple[int, int]]:
     return [(i, i + s) for i in range(0, n - s + 1, s)]
 
 
+class _StageClock:
+    """Wall time summed per stage, one reading per stage per stream."""
+
+    def __init__(self) -> None:
+        self.ns = dict.fromkeys(("filter", "describe", "project", "descend", "score"), 0)
+
+    @contextmanager
+    def __call__(self, stage: str):
+        start = time.perf_counter_ns()
+        yield
+        self.ns[stage] += time.perf_counter_ns() - start
+
+
+def _leaves(
+    tp: TrainedPipeline, stream: EventStream, prof: str, clock
+) -> tuple[EventStream, np.ndarray | None]:
+    """Filter, describe, project, and descend: the filtered events and the
+    leaf each one reaches (None when the filter keeps nothing).  Each stage
+    runs inside ``clock(stage)``; ``nullcontext`` times nothing."""
+    cfg = tp.config
+    with clock("filter"):
+        filtered = cascade(stream, cfg.filter_cfg)
+    if len(filtered) == 0:
+        return filtered, None
+    with clock("describe"):
+        desc, _ = extract_stream_descriptors(cfg.geometry, cfg.rect_cfg, filtered)
+    with clock("project"):
+        projected = tp.project_features(desc)
+    with clock("descend"):
+        leaves = tp.descend_leaves(projected, prof)
+    return filtered, leaves
+
+
+def _classify(
+    tp: TrainedPipeline, stream: EventStream, prof: str, clock
+) -> tuple[EventStream, list[WindowResult]]:
+    filtered, leaves = _leaves(tp, stream, prof, clock)
+    out = []
+    with clock("score"):
+        for start, end in window_spans(len(filtered), tp.config.s_window):
+            counts = np.bincount(leaves[start:end], minlength=tp.tree.n_points)
+            scores = tp.window_scores(counts, prof)
+            label = tp.class_names[int(np.argmax(scores))]
+            out.append(WindowResult(t_end=int(filtered.t[end - 1]), label=label, scores=scores))
+    return filtered, out
+
+
 def run_classify(
     tp: TrainedPipeline, stream: EventStream, profile: str | None = None
 ) -> list[WindowResult]:
     """Filter, describe, descend, and classify each full window."""
-    prof = _resolve_profile(tp, profile)
-    cfg = tp.config
-    filtered = cascade(stream, cfg.filter_cfg)
-    if len(filtered) == 0:
-        return []
-    desc, _ = extract_stream_descriptors(cfg.geometry, cfg.rect_cfg, filtered)
-    leaves = tp.descend_leaves(tp.project_features(desc), prof)
-    out = []
-    for start, end in window_spans(len(leaves), cfg.s_window):
-        counts = np.bincount(leaves[start:end], minlength=tp.tree.n_points)
-        scores = tp.window_scores(counts, prof)
-        label = tp.class_names[int(np.argmax(scores))]
-        out.append(WindowResult(t_end=int(filtered.t[end - 1]), label=label, scores=scores))
-    return out
+    return _classify(tp, stream, _resolve_profile(tp, profile), nullcontext)[1]
 
 
 def run_detect(
@@ -408,16 +440,12 @@ def run_detect(
     if target not in tp.landmarks:
         raise DataError(f"unknown target class {target!r}; bundle has {tp.class_names}")
     model = tp.landmarks[target]
-    filtered = cascade(stream, cfg.filter_cfg)
-    if len(filtered) == 0:
-        return []
-    desc, _ = extract_stream_descriptors(cfg.geometry, cfg.rect_cfg, filtered)
-    leaves = tp.descend_leaves(tp.project_features(desc), prof)
+    filtered, leaves = _leaves(tp, stream, prof, nullcontext)
     mask = model.mask(tp.tree.n_points)
     xs = filtered.x
     ys = filtered.y
     out = []
-    for start, end in window_spans(len(leaves), cfg.s_window):
+    for start, end in window_spans(len(filtered), cfg.s_window):
         tracker = HeatMapTracker(cfg.geometry)
         hit_idx = np.flatnonzero(mask[leaves[start:end]]) + start
         for i in hit_idx.tolist():
@@ -441,9 +469,7 @@ class BenchReport:
     accepted_events: int
     total_seconds: float
     events_per_sec: float
-    p50_us: float
-    p99_us: float
-    stage_us: dict[str, float]
+    stage_us: dict[str, float]  # wall time per input event
 
     def as_text(self) -> str:
         lines = [
@@ -451,8 +477,6 @@ class BenchReport:
             f"events accepted  : {self.accepted_events}",
             f"wall time        : {self.total_seconds:.3f} s",
             f"throughput       : {self.events_per_sec:.0f} events/s",
-            f"latency p50      : {self.p50_us:.2f} us",
-            f"latency p99      : {self.p99_us:.2f} us",
         ]
         for name, us in self.stage_us.items():
             lines.append(f"stage {name:<10} : {us:.3f} us/event")
@@ -460,80 +484,21 @@ class BenchReport:
 
 
 def run_bench(tp: TrainedPipeline, stream: EventStream, profile: str | None = None) -> BenchReport:
-    """Time the per-event path end to end; reporting only, no assertions."""
+    """Time ``run_classify``'s own path, stage by stage; reporting only."""
     prof = _resolve_profile(tp, profile)
-    cfg = tp.config
     n = len(stream)
     if n == 0:
-        return BenchReport(0, 0, 0.0, 0.0, 0.0, 0.0, {})
-
-    filt = CascadeFilter(cfg.geometry, cfg.filter_cfg)
-    state = RectState(cfg.geometry, cfg.rect_cfg)
-    if tp.pca_model is not None:
-        comp = tp.pca_model.components
-        mean = tp.pca_model.mean
-        transform = lambda v: comp @ (v - mean)
-    elif tp.vproj is not None:
-        kept = np.asarray(tp.vproj.kept_dims, dtype=np.int64)
-        transform = lambda v: v[kept]
-    else:
-        transform = lambda v: v
-    if prof == "hardware":
-        packed = tp.packed
-        if packed is None:
-            raise DataError("bundle carries no packed tree; hardware profile unavailable")
-        find_leaf = lambda z: quantized_descend(packed, z)
-    else:
-        tree = tp.tree
-        find_leaf = lambda z: descend(tree, z)
-    scorer = StreamScorer(tp.stream_model) if tp.stream_model is not None else None
-
-    xs = stream.x.tolist()
-    ys = stream.y.tolist()
-    ts = stream.t.tolist()
-    lat = np.empty(n, dtype=np.int64)
-    stages = {"filter": 0, "rect": 0, "extract": 0, "project": 0, "descend": 0, "score": 0}
-    pc = time.perf_counter_ns
-    accepted = 0
-    begin = pc()
-    for i in range(n):
-        x = xs[i]
-        y = ys[i]
-        t0 = pc()
-        ok = filt.push(x, y, ts[i])
-        t1 = pc()
-        stages["filter"] += t1 - t0
-        if ok:
-            accepted += 1
-            state.push(x, y)
-            t2 = pc()
-            v = state.extract_values(x, y)
-            t3 = pc()
-            z = transform(v)
-            t4 = pc()
-            leaf = find_leaf(z)
-            t5 = pc()
-            if scorer is not None:
-                scorer.push(int(leaf))
-            t6 = pc()
-            stages["rect"] += t2 - t1
-            stages["extract"] += t3 - t2
-            stages["project"] += t4 - t3
-            stages["descend"] += t5 - t4
-            stages["score"] += t6 - t5
-            lat[i] = t6 - t0
-        else:
-            lat[i] = t1 - t0
-    total_s = (pc() - begin) / 1e9
-
+        return BenchReport(0, 0, 0.0, 0.0, {})
+    clock = _StageClock()
+    begin = time.perf_counter_ns()
+    filtered, _ = _classify(tp, stream, prof, clock)
+    total_s = (time.perf_counter_ns() - begin) / 1e9
     return BenchReport(
         n_events=n,
-        accepted_events=accepted,
+        accepted_events=len(filtered),
         total_seconds=total_s,
         events_per_sec=n / total_s if total_s > 0 else 0.0,
-        p50_us=float(np.percentile(lat, 50)) / 1e3,
-        p99_us=float(np.percentile(lat, 99)) / 1e3,
-        stage_us={k: v / n / 1e3 for k, v in stages.items()},
+        stage_us={k: v / n / 1e3 for k, v in clock.ns.items()},
     )
 
 
@@ -604,32 +569,35 @@ def load_bundle(data: bytes) -> TrainedPipeline:
     meta, sections = bundle_mod.read_bundle(data)
     if meta.get("kind") != "evrect-pipeline":
         raise DataError("bundle: not a pipeline bundle")
-    c = meta["config"]
-    config = PipelineConfig(
-        geometry=SensorGeometry(n_rows=c["geometry"][0], n_cols=c["geometry"][1]),
-        filter_cfg=FilterConfig(
-            theta_noise_us=c["theta_noise_us"], theta_ref_us=c["theta_ref_us"]
-        ),
-        rect_cfg=RectConfig(
-            s=c["fifo_capacity"], p=c["pool_p"], q=c["pool_q"], w=c["patch_w"],
-            normalize=c["normalize"],
-        ),
-        pca_mode=c["pca_mode"],
-        pca_energy=c["pca_energy"],
-        pca_dims=c["pca_dims"],
-        k=c["dictionary_k"],
-        s_window=c["window_s"],
-        n_landmarks=c["landmarks_d"],
-        profile=c["profile"],
-        seed=c["seed"],
-        sample_cap=c["sample_cap"],
-        svm_lambda=c["svm_lambda"],
-        svm_epochs=c["svm_epochs"],
-        frac_bits=c["frac_bits"],
-    )
-    class_names = tuple(meta["class_names"])
+    try:
+        c = meta["config"]
+        config = PipelineConfig(
+            geometry=SensorGeometry(n_rows=c["geometry"][0], n_cols=c["geometry"][1]),
+            filter_cfg=FilterConfig(
+                theta_noise_us=c["theta_noise_us"], theta_ref_us=c["theta_ref_us"]
+            ),
+            rect_cfg=RectConfig(
+                s=c["fifo_capacity"], p=c["pool_p"], q=c["pool_q"], w=c["patch_w"],
+                normalize=c["normalize"],
+            ),
+            pca_mode=c["pca_mode"],
+            pca_energy=c["pca_energy"],
+            pca_dims=c["pca_dims"],
+            k=c["dictionary_k"],
+            s_window=c["window_s"],
+            n_landmarks=c["landmarks_d"],
+            profile=c["profile"],
+            seed=c["seed"],
+            sample_cap=c["sample_cap"],
+            svm_lambda=c["svm_lambda"],
+            svm_epochs=c["svm_epochs"],
+            frac_bits=c["frac_bits"],
+        )
+    except KeyError as exc:
+        raise DataError(f"bundle: config is missing {exc.args[0]!r}") from None
 
     try:
+        class_names = tuple(meta["class_names"])
         centroids = sections["DICT"]["centroids"]
         t = sections["TREE"]
         tree = KdTree(

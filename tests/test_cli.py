@@ -209,6 +209,33 @@ def test_bench_reports_throughput(cli_dir, float_bundle, capsys):
     assert "stage descend" in out
 
 
+def test_malformed_bundle_is_data_error(cli_dir, float_bundle, tmp_path, capsys):
+    from evrect.bundle import write_bundle
+
+    probe = cli_dir / "probe.csv"
+    blob = float_bundle.read_bytes()
+    meta, sections = read_bundle(blob)
+    del meta["class_names"]
+    no_class_names = write_bundle(meta, sections)
+    meta, sections = read_bundle(blob)
+    del meta["config"]["window_s"]
+    mutants = {
+        "tag": blob[:8] + b"\xffETA" + blob[12:],  # META tag made non-ASCII
+        "utf8": blob[:20] + b"\xff" + blob[21:],  # first META payload byte
+        "json": blob[:20] + b"#" + blob[21:],
+        "config": write_bundle(meta, sections),
+        "class_names": no_class_names,
+        "list": write_bundle(["evrect-pipeline"], sections),  # META not a JSON object
+    }
+    for name, data in mutants.items():
+        bad = tmp_path / f"{name}.evrb"
+        bad.write_bytes(data)
+        code = run_cli("classify", "--bundle", str(bad), "--input", str(probe))
+        err = capsys.readouterr().err
+        assert code == 2, name
+        assert err.startswith("error: bundle:"), (name, err)
+
+
 def test_tree_dump_round_trips(cli_dir, hw_bundle, tmp_path):
     rom = tmp_path / "tree.hex"
     assert run_cli("tree", "dump", "--bundle", str(hw_bundle), "--output", str(rom)) == 0
@@ -272,6 +299,22 @@ def test_train_same_seed_reproduces_bundle(cli_dir, tmp_path, capsys):
     acc1 = [l for l in log1.splitlines() if "training accuracy" in l]
     acc2 = [l for l in log2.splitlines() if "training accuracy" in l]
     assert acc1 and acc1 == acc2
+
+
+def test_kmeans_error_is_data_exit(cli_dir, float_bundle, tmp_path, monkeypatch, capsys):
+    import evrect.pipeline as pl
+    from evrect.errors import EvrectError
+
+    def fail(*args, **kwargs):
+        raise EvrectError("k-means inertia increased")
+
+    monkeypatch.setattr(pl, "learn", fail)
+    code = run_cli(
+        "train", f"bar={cli_dir / 'bar.csv'}", f"ring={cli_dir / 'ring.csv'}",
+        "--config", str(cli_dir / "train.cfg"), "--output", str(tmp_path / "m.evrb"),
+    )
+    assert code == 2
+    assert "error: k-means inertia increased" in capsys.readouterr().err
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):

@@ -329,11 +329,18 @@ def test_descriptor_snapshots_match_replay(rng, small_geometry):
             j += 1
 
 
+def _check_stage_times(report, tp, stream):
+    assert report.accepted_events == len(cascade(stream, tp.config.filter_cfg))
+    assert set(report.stage_us) == {"filter", "describe", "project", "descend", "score"}
+    assert all(us > 0 for us in report.stage_us.values())
+    stage_seconds = sum(report.stage_us.values()) * report.n_events / 1e6
+    assert stage_seconds <= report.total_seconds
+
+
 def test_bench_reports_counts(tp_vpca, test_stream):
     report = run_bench(tp_vpca, test_stream)
     assert report.n_events == len(test_stream)
-    filtered = cascade(test_stream, tp_vpca.config.filter_cfg)
-    assert report.accepted_events == len(filtered)
+    _check_stage_times(report, tp_vpca, test_stream)
     assert report.events_per_sec > 0
     text = report.as_text()
     assert "events processed" in text
@@ -350,4 +357,4 @@ def test_bench_empty_stream(tp_vpca):
 def test_bench_hardware_profile(tp_hw, test_stream):
     report = run_bench(tp_hw, test_stream)
     assert report.n_events == len(test_stream)
-    assert set(report.stage_us) == {"filter", "rect", "extract", "project", "descend", "score"}
+    _check_stage_times(report, tp_hw, test_stream)

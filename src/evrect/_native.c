@@ -1,0 +1,97 @@
+/* Per-event loops of the classify path, in C: the refractory + 8-neighbour
+ * noise cascade, and the FIFO count matrix read out as one w x w patch per
+ * event.  Both follow the reference models in filtering.py (CascadeFilter)
+ * and rect.py (RectState) step for step.  The caller checks every
+ * coordinate against the geometry before calling.
+ */
+#include <stdint.h>
+#include <stdlib.h>
+
+#define NEVER (-((int64_t)1 << 62))
+
+/* a - b <= c, exact for any int64 a and b, as Python's integers compare */
+static int gap_le(int64_t a, int64_t b, int64_t c)
+{
+    int64_t d;
+    if (__builtin_sub_overflow(a, b, &d))
+        return a < b;
+    return d <= c;
+}
+
+/* Indices of the events the cascade keeps, written to `kept`; returns how
+ * many, or -1 when memory runs out. */
+int64_t evrect_cascade(int64_t n, const int64_t *xs, const int64_t *ys, const int64_t *ts,
+                       int64_t n_rows, int64_t n_cols, int64_t theta_ref, int64_t theta_noise,
+                       int64_t *kept)
+{
+    int64_t cells = n_rows * n_cols;
+    int64_t *ref = malloc(cells * sizeof *ref);
+    int64_t *noise = malloc(cells * sizeof *noise);
+    if (!ref || !noise) {
+        free(ref);
+        free(noise);
+        return -1;
+    }
+    for (int64_t i = 0; i < cells; i++)
+        ref[i] = noise[i] = NEVER;
+
+    int64_t m = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t x = xs[i], y = ys[i], t = ts[i];
+        int64_t idx = y * n_cols + x;
+        int64_t last = ref[idx];
+        ref[idx] = t;
+        if (last != NEVER && gap_le(t, last, theta_ref))
+            continue;
+        int accepted = 0;
+        for (int64_t yj = y - 1; yj <= y + 1 && !accepted; yj++) {
+            if (yj < 0 || yj >= n_rows)
+                continue;
+            for (int64_t xj = x - 1; xj <= x + 1; xj++) {
+                if (xj < 0 || xj >= n_cols || (xj == x && yj == y))
+                    continue;
+                int64_t tj = noise[yj * n_cols + xj];
+                /* t - tj < theta_noise */
+                if (tj != NEVER && gap_le(t, tj, theta_noise - 1)) {
+                    accepted = 1;
+                    break;
+                }
+            }
+        }
+        noise[idx] = t;
+        if (accepted)
+            kept[m++] = i;
+    }
+    free(ref);
+    free(noise);
+    return m;
+}
+
+/* Row i of `out` (n x w*w) is the w x w block of pooled sums centred on
+ * event i's pooled cell, each divided by `area`, right after event i
+ * entered a FIFO of capacity s (evicting event i - s).  Returns 0, or -1
+ * when memory runs out. */
+int evrect_patches(int64_t n, const int64_t *xs, const int64_t *ys, int64_t s, int64_t p,
+                   int64_t q, int64_t w, int64_t rows_pooled, int64_t cols_pooled, double area,
+                   double *out)
+{
+    int64_t h = w / 2;
+    int64_t stride = cols_pooled + 2 * h;
+    int64_t *grid = calloc((rows_pooled + 2 * h) * stride, sizeof *grid);
+    if (!grid)
+        return -1;
+    /* the padded cell of (x, y) is (y / p + h, x / q + h); a patch starts h
+     * cells up and left of it */
+    for (int64_t i = 0; i < n; i++) {
+        if (i >= s)
+            grid[(ys[i - s] / p + h) * stride + xs[i - s] / q + h] -= 1;
+        int64_t *corner = grid + (ys[i] / p) * stride + xs[i] / q;
+        corner[h * stride + h] += 1;
+        double *row = out + i * w * w;
+        for (int64_t a = 0; a < w; a++)
+            for (int64_t b = 0; b < w; b++)
+                row[a * w + b] = (double)corner[a * stride + b] / area;
+    }
+    free(grid);
+    return 0;
+}

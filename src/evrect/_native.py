@@ -1,0 +1,113 @@
+"""C kernels for the two per-event loops of the classify path, loaded with
+``ctypes``: the noise cascade and the FIFO patch copy (``_native.c``).
+
+The library is built with the local gcc on the first call that needs it,
+never at import, into ``__pycache__`` beside this file, named by the hash of
+its source.  When gcc, the build or the cache directory is missing,
+:func:`load` returns None and every caller runs its Python reference loop,
+which gives the same results.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import os
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+CC = "/usr/bin/gcc"
+_SOURCE = Path(__file__).with_name("_native.c")
+_CACHE = Path(__file__).with_name("__pycache__")
+
+_i64 = ctypes.c_int64
+_ptr = ctypes.c_void_p
+
+
+def _build(source: bytes, target: Path) -> None:
+    """Compile ``source`` to ``target``, published with one atomic rename so
+    that a concurrent build or load never sees a partial file."""
+    import subprocess
+
+    _CACHE.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=target.stem, suffix=".tmp", dir=_CACHE)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [CC, "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", tmp],
+            input=source, check=True, capture_output=True, timeout=120,
+        )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def load() -> ctypes.CDLL | None:
+    """The kernels, built first if no build of this source exists; None
+    when they cannot be built or loaded here.  Tried once per process."""
+    # imported here, not at module level, so that importing evrect costs nothing more
+    import hashlib
+    import subprocess
+
+    try:
+        source = _SOURCE.read_bytes()
+        target = _CACHE / f"_native-{hashlib.sha256(source).hexdigest()[:16]}.so"
+        if not target.exists():
+            _build(source, target)
+        lib = ctypes.CDLL(str(target))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    lib.evrect_cascade.argtypes = [_i64, _ptr, _ptr, _ptr, _i64, _i64, _i64, _i64, _ptr]
+    lib.evrect_cascade.restype = _i64
+    lib.evrect_patches.argtypes = [_i64, _ptr, _ptr, _i64, _i64, _i64, _i64, _i64, _i64,
+                                   ctypes.c_double, _ptr]
+    lib.evrect_patches.restype = ctypes.c_int
+    return lib
+
+
+def _column(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def cascade_kept(
+    x: np.ndarray, y: np.ndarray, t: np.ndarray, n_rows: int, n_cols: int,
+    theta_ref_us: int, theta_noise_us: int,
+) -> np.ndarray | None:
+    """Indices the cascade keeps, or None without the kernels.  Coordinates
+    must lie inside the geometry."""
+    lib = load()
+    if lib is None:
+        return None
+    x, y, t = _column(x), _column(y), _column(t)
+    kept = np.empty(len(t), dtype=np.int64)
+    m = lib.evrect_cascade(len(t), x.ctypes.data, y.ctypes.data, t.ctypes.data,
+                           n_rows, n_cols, theta_ref_us, theta_noise_us, kept.ctypes.data)
+    if m < 0:
+        raise MemoryError("noise filter: no memory for the last-spike maps")
+    return kept[:m]
+
+
+def patches(
+    x: np.ndarray, y: np.ndarray, n_rows: int, n_cols: int, s: int, p: int, q: int, w: int,
+) -> np.ndarray | None:
+    """Each event's w x w patch of pooled sums divided by the pool area, one
+    row per event, or None without the kernels.  Coordinates must lie inside
+    the geometry."""
+    lib = load()
+    if lib is None:
+        return None
+    x, y = _column(x), _column(y)
+    n = len(x)
+    out = np.empty((n, w * w), dtype=np.float64)
+    # a capacity of at least n never evicts, and a pooling side of at least
+    # the sensor's puts every pixel in cell 0: clip both to what int64 holds
+    status = lib.evrect_patches(n, x.ctypes.data, y.ctypes.data, min(s, n), min(p, n_rows),
+                                min(q, n_cols), w, -(-n_rows // p), -(-n_cols // q),
+                                float(p * q), out.ctypes.data)
+    if status < 0:
+        raise MemoryError("count matrix: no memory for the pooled grid")
+    return out

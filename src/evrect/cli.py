@@ -20,6 +20,7 @@ from .kdtree import dump_rom
 from .pgm import to_pgm
 from .pipeline import (
     PipelineConfig,
+    fifo_snapshot,
     load_bundle,
     run_bench,
     run_classify,
@@ -27,7 +28,6 @@ from .pipeline import (
     save_bundle,
     train_pipeline,
     window_spans,
-    extract_stream_descriptors,
 )
 from .rect import RectConfig
 from .synth import SceneSpec, parse_truth_csv, synth_scene, write_truth_csv
@@ -148,13 +148,11 @@ def _format_score(v) -> str:
 def _dump_heat(tp, stream, out_dir: str) -> None:
     cfg = tp.config
     filtered = cascade(stream, cfg.filter_cfg)
-    spans = window_spans(len(filtered), cfg.s_window)
-    ends = frozenset(end - 1 for _, end in spans)
-    _, snaps = extract_stream_descriptors(cfg.geometry, cfg.rect_cfg, filtered, ends)
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    for i, counts, pooled in snaps:
-        t_end = int(filtered.t[i])
+    for _, end in window_spans(len(filtered), cfg.s_window):
+        counts, pooled = fifo_snapshot(cfg.geometry, cfg.rect_cfg, filtered, end - 1)
+        t_end = int(filtered.t[end - 1])
         (directory / f"window_{t_end}_counts.pgm").write_text(to_pgm(counts))
         (directory / f"window_{t_end}_pooled.pgm").write_text(to_pgm(pooled))
 

@@ -95,7 +95,8 @@ class HeatMapTracker:
 
     ``threshold`` chases the maximum cell count one step at a time; the
     FIFO holds every coordinate that attained the current threshold, in
-    attainment order, duplicates included.
+    attainment order.  A cell can attain it only once, since its next hit
+    raises the threshold and clears the FIFO.
     """
 
     __slots__ = ("counts", "threshold", "fifo")
@@ -126,6 +127,28 @@ class HeatMapTracker:
             int(math.floor(sx / n + 0.5)),
             int(math.floor(sy / n + 0.5)),
         )
+
+
+def heat_spot(
+    x: np.ndarray, y: np.ndarray, geometry: SensorGeometry
+) -> tuple[tuple[int, int] | None, int]:
+    """``detect()`` and ``threshold`` of a fresh :class:`HeatMapTracker`
+    after ``hit(x[i], y[i])`` for every i, in closed form.
+
+    The threshold ends at the largest cell count, and the FIFO then holds
+    each cell at that count once, so the spot is the half-up rounded mean of
+    those cells, here in integer arithmetic.
+    """
+    if len(x) == 0:
+        return None, 0
+    n_cols = geometry.n_cols
+    counts = np.bincount(y * n_cols + x)
+    top = int(counts.max())
+    cells = np.flatnonzero(counts == top)
+    n = len(cells)
+    sx = int((cells % n_cols).sum())
+    sy = int((cells // n_cols).sum())
+    return ((2 * sx + n) // (2 * n), (2 * sy + n) // (2 * n)), top
 
 
 def heat_update(

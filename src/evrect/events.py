@@ -85,20 +85,26 @@ class EventStream:
             arr = np.empty((0, 4), dtype=np.int64)
         return cls(geometry, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
 
-    def validate(self) -> None:
-        n = len(self.x)
-        if n == 0:
+    def check_coordinates(self, geometry: SensorGeometry | None = None) -> None:
+        """Raise DataError unless every pixel lies inside the geometry (the
+        stream's own by default); code that indexes memory with the
+        coordinates calls this first."""
+        geo = geometry or self.geometry
+        x, y = self.x, self.y
+        if len(x) == 0 or (
+            x.min() >= 0 and y.min() >= 0 and x.max() < geo.n_cols and y.max() < geo.n_rows
+        ):
             return
-        geo = self.geometry
-        bad = np.flatnonzero(
-            (self.x < 0) | (self.x >= geo.n_cols) | (self.y < 0) | (self.y >= geo.n_rows)
+        i = int(np.flatnonzero((x < 0) | (x >= geo.n_cols) | (y < 0) | (y >= geo.n_rows))[0])
+        raise DataError(
+            f"event {i}: coordinate ({int(x[i])},{int(y[i])}) outside "
+            f"{geo.n_cols}x{geo.n_rows} sensor"
         )
-        if bad.size:
-            i = int(bad[0])
-            raise DataError(
-                f"event {i}: coordinate ({int(self.x[i])},{int(self.y[i])}) outside "
-                f"{geo.n_cols}x{geo.n_rows} sensor"
-            )
+
+    def validate(self) -> None:
+        if len(self.x) == 0:
+            return
+        self.check_coordinates()
         if np.any(self.t < 0):
             i = int(np.flatnonzero(self.t < 0)[0])
             raise DataError(f"event {i}: negative timestamp {int(self.t[i])}")
@@ -135,8 +141,53 @@ class EventStream:
 def parse_csv(data: bytes | str, geometry: SensorGeometry) -> EventStream:
     """Parse header-less ``x,y,t,p`` lines, validating bounds and ordering.
 
-    Errors carry 1-based line numbers.
+    Errors carry 1-based line numbers.  Text in the canonical form (what
+    :func:`write_csv` writes) is parsed in one numpy call; anything else,
+    and any text that breaks a rule, goes through the line-by-line parser,
+    which gives the same arrays or raises the line's error.
     """
+    # any character that is not ASCII makes the text non-canonical
+    raw = data.encode("utf-8", "replace") if isinstance(data, str) else bytes(data)
+    stream = _parse_canonical(raw, geometry)
+    return stream if stream is not None else _parse_lines(data, geometry)
+
+
+_DIGIT_MAX = 18     # so every token parses exactly in int64, and t <= MAX_TIMESTAMP
+_FIELD_ENDS = np.frombuffer(b",,,\n", dtype=np.uint8)
+
+
+def _parse_canonical(data: bytes, geometry: SensorGeometry) -> EventStream | None:
+    """The stream, if ``data`` is canonical and valid: nothing but ``x,y,t,p``
+    lines of unsigned decimals of at most 18 digits, each line ending in a
+    newline but maybe the last.  None for any other text; never raises."""
+    if data and not data.endswith(b"\n"):
+        data = data + b"\n"
+    b = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+    lengths = np.diff(ends, prepend=-1) - 1
+    if (
+        len(ends) % 4
+        or np.count_nonzero((b >= ord("0")) & (b <= ord("9"))) != len(b) - len(ends)
+        or (len(ends) and (lengths.min() < 1 or lengths.max() > _DIGIT_MAX))
+        or not (b[ends].reshape(-1, 4) == _FIELD_ENDS).all()
+    ):
+        return None
+    values = np.fromstring(data.replace(b"\n", b","), dtype=np.int64, sep=",")
+    if len(values) != len(ends):
+        return None
+    x, y, t, p = values.reshape(-1, 4).T
+    if len(t) and (
+        x.max() >= geometry.n_cols
+        or y.max() >= geometry.n_rows
+        or np.any(t[1:] < t[:-1])
+        or p.max() > 1
+    ):
+        return None
+    return EventStream(geometry, x, y, t, p, validate=False)
+
+
+def _parse_lines(data: bytes | str, geometry: SensorGeometry) -> EventStream:
+    """The reference parser, one line at a time; raises on the first bad line."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     xs: list[int] = []
     ys: list[int] = []

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import DataError
-from .events import Event, EventStream, SensorGeometry
+from .events import MAX_TIMESTAMP, Event, EventStream, SensorGeometry
 
 NEVER = -(1 << 62)
 
@@ -29,6 +30,8 @@ class FilterConfig:
     def __post_init__(self) -> None:
         if self.theta_noise_us <= 0 or self.theta_ref_us <= 0:
             raise DataError("filter thresholds must be strictly positive")
+        if max(self.theta_noise_us, self.theta_ref_us) > MAX_TIMESTAMP:
+            raise DataError(f"filter thresholds must be at most {MAX_TIMESTAMP} us")
 
 
 class LastSpikeMap:
@@ -125,10 +128,20 @@ class CascadeFilter:
 
 
 def cascade(stream: EventStream, cfg: FilterConfig | None = None) -> EventStream:
-    """Filter a whole stream, preserving order and all event fields."""
-    push = CascadeFilter(stream.geometry, cfg).push
-    xs = stream.x.tolist()
-    ys = stream.y.tolist()
-    ts = stream.t.tolist()
-    keep = [i for i in range(len(xs)) if push(xs[i], ys[i], ts[i])]
-    return stream.slice(np.asarray(keep, dtype=np.int64))
+    """Filter a whole stream, preserving order and all event fields.
+
+    Runs the C kernel when it is available, else :class:`CascadeFilter`
+    event by event; both keep the same events.
+    """
+    cfg = cfg or FilterConfig()
+    geo = stream.geometry
+    stream.check_coordinates()
+    keep = _native.cascade_kept(stream.x, stream.y, stream.t, geo.n_rows, geo.n_cols,
+                                cfg.theta_ref_us, cfg.theta_noise_us)
+    if keep is None:
+        push = CascadeFilter(geo, cfg).push
+        xs = stream.x.tolist()
+        ys = stream.y.tolist()
+        ts = stream.t.tolist()
+        keep = np.asarray([i for i in range(len(xs)) if push(xs[i], ys[i], ts[i])], dtype=np.int64)
+    return stream.slice(keep)

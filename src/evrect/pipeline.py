@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _native
 from . import bundle as bundle_mod
 from . import pca as pca_mod
 from .classifier import (
@@ -28,7 +29,7 @@ from .classifier import (
     scores_of,
     train as svm_train,
 )
-from .detector import DetectorModel, HeatMapTracker, compute_stats, select_landmarks
+from .detector import DetectorModel, compute_stats, heat_spot, select_landmarks
 from .dictionary import Dictionary, learn, windows_from_leaves
 from .errors import CapacityError, DataError
 from .events import EventStream, SensorGeometry
@@ -45,7 +46,7 @@ from .kdtree import (
     unpack,
 )
 from .pca import PcaModel
-from .rect import RectConfig, RectState
+from .rect import RectConfig, RectState, batch_pooled
 
 PCA_MODES = ("none", "pca", "vpca")
 PROFILES = ("float", "hardware")
@@ -155,30 +156,41 @@ def _resolve_profile(tp: TrainedPipeline, profile: str | None) -> str:
 
 
 def extract_stream_descriptors(
-    geometry: SensorGeometry,
-    rect_cfg: RectConfig,
-    filtered: EventStream,
-    snapshot_at: frozenset[int] = frozenset(),
-) -> tuple[np.ndarray, list[tuple[int, np.ndarray, np.ndarray]]]:
-    """Replay a filtered stream through the count matrix, extracting one
-    descriptor per event; optionally snapshot (counts, pooled) after the
-    given event indices."""
-    state = RectState(geometry, rect_cfg)
-    n = len(filtered)
-    out = np.empty((n, rect_cfg.dim), dtype=np.float64)
-    xs = filtered.x.tolist()
-    ys = filtered.y.tolist()
-    push = state.push
-    extract = state.extract_values
-    snaps: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for i in range(n):
-        x = xs[i]
-        y = ys[i]
-        push(x, y)
-        out[i] = extract(x, y)
-        if i in snapshot_at:
-            snaps.append((i, state.counts.copy(), state.pooled.copy()))
-    return out, snaps
+    geometry: SensorGeometry, rect_cfg: RectConfig, filtered: EventStream
+) -> tuple[np.ndarray, str]:
+    """One descriptor per filtered event, read from the count matrix right
+    after the event entered the FIFO, and which kernels computed them:
+    ``"native"`` (the C patch copy, then the pool-area division and the
+    normalization in numpy) or ``"python"`` (a :class:`RectState` replay).
+    Both give the same bits."""
+    filtered.check_coordinates(geometry)
+    out = _native.patches(filtered.x, filtered.y, geometry.n_rows, geometry.n_cols,
+                          rect_cfg.s, rect_cfg.p, rect_cfg.q, rect_cfg.w)
+    if out is None:
+        state = RectState(geometry, rect_cfg)
+        out = np.empty((len(filtered), rect_cfg.dim), dtype=np.float64)
+        for i, (x, y) in enumerate(zip(filtered.x.tolist(), filtered.y.tolist())):
+            state.push(x, y)
+            out[i] = state.extract_values(x, y)
+        return out, "python"
+    if rect_cfg.normalize:
+        # np.vecdot gives each row's ``v @ v`` bit for bit, as RectState does
+        norm = np.sqrt(np.vecdot(out, out))[:, None]
+        np.divide(out, norm, out=out, where=norm > 0.0)
+    return out, "native"
+
+
+def fifo_snapshot(
+    geometry: SensorGeometry, rect_cfg: RectConfig, filtered: EventStream, i: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The count matrix and raw pooled sums of a :class:`RectState` right
+    after filtered event ``i`` entered it, rebuilt from the events its FIFO
+    then holds: the last ``s`` up to ``i``."""
+    lo = max(0, i + 1 - rect_cfg.s)
+    cells = filtered.y[lo : i + 1] * geometry.n_cols + filtered.x[lo : i + 1]
+    counts = np.bincount(cells, minlength=geometry.n_rows * geometry.n_cols)
+    counts = counts.reshape(geometry.n_rows, geometry.n_cols)
+    return counts, batch_pooled(counts, rect_cfg.p, rect_cfg.q)
 
 
 def _stage(name: str):
@@ -442,21 +454,16 @@ def run_detect(
     model = tp.landmarks[target]
     filtered, leaves = _leaves(tp, stream, prof, nullcontext)
     mask = model.mask(tp.tree.n_points)
-    xs = filtered.x
-    ys = filtered.y
     out = []
     for start, end in window_spans(len(filtered), cfg.s_window):
-        tracker = HeatMapTracker(cfg.geometry)
         hit_idx = np.flatnonzero(mask[leaves[start:end]]) + start
-        for i in hit_idx.tolist():
-            tracker.hit(int(xs[i]), int(ys[i]))
-        spot = tracker.detect()
+        spot, threshold = heat_spot(filtered.x[hit_idx], filtered.y[hit_idx], cfg.geometry)
         out.append(
             DetectWindow(
                 t_end=int(filtered.t[end - 1]),
                 x=None if spot is None else spot[0],
                 y=None if spot is None else spot[1],
-                threshold=tracker.threshold,
+                threshold=threshold,
                 landmark_hits=len(hit_idx),
             )
         )
@@ -470,9 +477,11 @@ class BenchReport:
     total_seconds: float
     events_per_sec: float
     stage_us: dict[str, float]  # wall time per input event
+    kernels: str                # "native" (the C loops) or "python"
 
     def as_text(self) -> str:
         lines = [
+            f"kernels          : {self.kernels}",
             f"events processed : {self.n_events}",
             f"events accepted  : {self.accepted_events}",
             f"wall time        : {self.total_seconds:.3f} s",
@@ -486,9 +495,10 @@ class BenchReport:
 def run_bench(tp: TrainedPipeline, stream: EventStream, profile: str | None = None) -> BenchReport:
     """Time ``run_classify``'s own path, stage by stage; reporting only."""
     prof = _resolve_profile(tp, profile)
+    kernels = "python" if _native.load() is None else "native"
     n = len(stream)
     if n == 0:
-        return BenchReport(0, 0, 0.0, 0.0, {})
+        return BenchReport(0, 0, 0.0, 0.0, {}, kernels)
     clock = _StageClock()
     begin = time.perf_counter_ns()
     filtered, _ = _classify(tp, stream, prof, clock)
@@ -499,6 +509,7 @@ def run_bench(tp: TrainedPipeline, stream: EventStream, profile: str | None = No
         total_seconds=total_s,
         events_per_sec=n / total_s if total_s > 0 else 0.0,
         stage_us={k: v / n / 1e3 for k, v in clock.ns.items()},
+        kernels=kernels,
     )
 
 

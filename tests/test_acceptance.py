@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from evrect.classifier import StreamScorer, SvmModel, export_stream
-from evrect.detector import Box, HeatMapTracker, TruthWindow, evaluate
+from evrect.detector import Box, HeatMapTracker, TruthWindow, evaluate, heat_spot
 from evrect.events import EventStream, SensorGeometry
 from evrect.filtering import FilterConfig, cascade
 from evrect.kdtree import (
@@ -185,12 +185,14 @@ def test_criterion_6_heat_map_trace_equivalence():
         for x, y in hits:
             tracker.hit(x, y)
         threshold, fifo, mean = alg1_replay(hits)
+        xs, ys = np.asarray(hits, dtype=np.int64).T
         matched += (
             tracker.threshold == threshold
             and tracker.fifo == fifo
             and tracker.detect() == mean
+            and heat_spot(xs, ys, geometry) == (mean, threshold)
         )
-    report(6, matched == windows, f"{matched}/{windows} windows match the batch replay oracle")
+    report(6, matched == windows, f"{matched}/{windows} windows: tracker and closed form match the batch replay oracle")
 
 
 def test_criterion_7_packed_node_round_trip():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evrect.detector import (
     Box,
@@ -10,6 +12,7 @@ from evrect.detector import (
     TruthWindow,
     compute_stats,
     evaluate,
+    heat_spot,
     heat_update,
     precision_recall,
     select_landmarks,
@@ -144,6 +147,24 @@ def test_random_windows_match_batch_replay(rng):
         assert tracker.threshold == threshold
         assert tracker.fifo == fifo
         assert tracker.detect() == mean
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    hits=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=60),
+)
+def test_heat_spot_equals_tracker_replay(rows, cols, hits):
+    # few pixels, so the largest count is often shared by several cells
+    geometry = SensorGeometry(n_rows=rows, n_cols=cols)
+    hits = [(x % cols, y % rows) for x, y in hits]
+    tracker = HeatMapTracker(geometry)
+    for x, y in hits:
+        tracker.hit(x, y)
+    xs = np.asarray([h[0] for h in hits], dtype=np.int64)
+    ys = np.asarray([h[1] for h in hits], dtype=np.int64)
+    assert heat_spot(xs, ys, geometry) == (tracker.detect(), tracker.threshold)
 
 
 def test_heat_update_counts_landmark_leaves_only():

@@ -9,6 +9,8 @@ from evrect.events import (
     Event,
     EventStream,
     SensorGeometry,
+    _parse_canonical,
+    _parse_lines,
     parse_csv,
     parse_nmnist_bin,
     write_csv,
@@ -136,3 +138,100 @@ def test_stream_slice_and_iteration():
 def test_geometry_must_be_positive():
     with pytest.raises(DataError):
         SensorGeometry(n_rows=0, n_cols=10)
+
+
+# Each takes the fields of one line and returns the line's new text.
+_FIELD_MUTATIONS = {
+    "space": lambda f, i: ",".join(f[:i] + [" " + f[i]] + f[i + 1:]),
+    "trailing space": lambda f, i: ",".join(f) + " ",
+    "plus sign": lambda f, i: ",".join(f[:i] + ["+" + f[i]] + f[i + 1:]),
+    "minus sign": lambda f, i: ",".join(f[:i] + ["-" + f[i]] + f[i + 1:]),
+    "underscore": lambda f, i: ",".join(f[:i] + [f[i][0] + "_" + f[i] if f[i] != "0" else "1_0"] + f[i + 1:]),
+    "leading zeros": lambda f, i: ",".join(f[:i] + ["00" + f[i]] + f[i + 1:]),
+    "19 digits": lambda f, i: ",".join(f[:i] + ["1" + "0" * 18] + f[i + 1:]),
+    "18 digits": lambda f, i: ",".join(f[:i] + ["9" * 18] + f[i + 1:]),
+    "past int64": lambda f, i: ",".join(f[:i] + ["9" * 19] + f[i + 1:]),
+    "20 digits": lambda f, i: ",".join(f[:i] + ["0" * 19 + f[i]] + f[i + 1:]),
+    "extra field": lambda f, i: ",".join(f + ["0"]),
+    "missing field": lambda f, i: ",".join(f[:i] + f[i + 1:]),
+    "empty field": lambda f, i: ",".join(f[:i] + [""] + f[i + 1:]),
+    "letter": lambda f, i: ",".join(f[:i] + [f[i] + "x"] + f[i + 1:]),
+    "non-ascii digit": lambda f, i: ",".join(f[:i] + ["\u0663"] + f[i + 1:]),
+    "x out of range": lambda f, i: ",".join(["240"] + f[1:]),
+    "y out of range": lambda f, i: ",".join(f[:1] + ["180"] + f[2:]),
+    "polarity 2": lambda f, i: ",".join(f[:3] + ["2"]),
+    "timestamp regression": lambda f, i: ",".join(f[:2] + ["0"] + f[3:]),
+}
+# Each takes the list of lines and a line index and returns the whole text.
+_TEXT_MUTATIONS = {
+    "none": lambda lines, j: "\n".join(lines) + "\n",
+    "no final newline": lambda lines, j: "\n".join(lines),
+    "blank line": lambda lines, j: "\n".join(lines[:j] + [""] + lines[j:]) + "\n",
+    "whitespace line": lambda lines, j: "\n".join(lines[:j] + [" \t"] + lines[j:]) + "\n",
+    "crlf": lambda lines, j: "\r\n".join(lines) + "\r\n",
+    "one crlf": lambda lines, j: "\n".join(lines[:j] + [lines[j] + "\r"] + lines[j + 1:]) + "\n",
+    "lone cr": lambda lines, j: "\r".join(lines) + "\r",
+    "double newline at end": lambda lines, j: "\n".join(lines) + "\n\n",
+}
+
+
+def _outcome(parse, data):
+    try:
+        s = parse(data, GEO)
+    except DataError as exc:
+        return "error", str(exc)
+    return "ok", [a.tolist() for a in (s.x, s.y, s.t, s.p)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    events=st.lists(
+        st.tuples(st.integers(0, 239), st.integers(0, 179), st.integers(0, 10**6), st.integers(0, 1)),
+        min_size=1,
+        max_size=12,
+    ),
+    text_mutation=st.sampled_from(sorted(_TEXT_MUTATIONS)),
+    field_mutation=st.sampled_from(["none"] + sorted(_FIELD_MUTATIONS)),
+    where=st.integers(0, 10**6),
+    as_bytes=st.booleans(),
+)
+def test_fast_parse_matches_line_parser(events, text_mutation, field_mutation, where, as_bytes):
+    events = sorted(events, key=lambda e: e[2])
+    lines = [f"{x},{y},{t},{p}" for x, y, t, p in events]
+    j = where % len(lines)
+    if field_mutation != "none":
+        lines[j] = _FIELD_MUTATIONS[field_mutation](lines[j].split(","), where % 4)
+    text = _TEXT_MUTATIONS[text_mutation](lines, j)
+    data = text.encode("utf-8") if as_bytes else text
+    assert _outcome(parse_csv, data) == _outcome(_parse_lines, data)
+    if field_mutation == "none" and text_mutation in ("none", "no final newline"):
+        assert _parse_canonical(text.encode(), GEO) is not None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0,0,0,0\n239,179,5,1\n239,179,5,0",   # the largest pixel, tied timestamps
+        "1,2,3,0\n1,2," + "9" * 18 + ",1\n",  # the longest token read in one call
+        "1,2,3,0\n1,2," + "9" * 19 + ",1\n",  # past int64, on the last line
+        "1,2," + "9" * 19 + ",1",
+        "1,2," + "0" * 19 + "7,1\n",            # a long token of small value
+        "240,0,0,0\n",
+        "0,180,0,0\n",
+        "0,0,0,2\n",
+        "0,0,5,0\n0,0,4,0\n",
+    ],
+)
+def test_fast_parse_boundaries(text):
+    for data in (text, text.encode()):
+        assert _outcome(parse_csv, data) == _outcome(_parse_lines, data)
+
+
+def test_fast_parse_reads_written_files(rng):
+    n = 5_000
+    ts = np.cumsum(rng.integers(0, 3, size=n))
+    stream = EventStream(GEO, rng.integers(0, 240, n), rng.integers(0, 180, n), ts, rng.integers(0, 2, n))
+    fast = _parse_canonical(write_csv(stream).encode(), GEO)
+    assert fast is not None
+    for a, b in zip((fast.x, fast.y, fast.t, fast.p), (stream.x, stream.y, stream.t, stream.p)):
+        assert a.dtype == np.int64 and np.array_equal(a, b)

@@ -157,3 +157,7 @@ def test_filter_config_validation():
         FilterConfig(theta_noise_us=0)
     with pytest.raises(DataError):
         FilterConfig(theta_ref_us=-5)
+    # the C kernel compares in int64, so a threshold must fit in one
+    with pytest.raises(DataError, match="at most"):
+        FilterConfig(theta_noise_us=1 << 63)
+    FilterConfig(theta_noise_us=(1 << 63) - 1, theta_ref_us=(1 << 63) - 1)

@@ -1,0 +1,160 @@
+"""The C kernels against the Python reference loops they replace: the noise
+cascade, the per-event descriptors, and whole train / classify / detect runs
+with the kernels forced off."""
+
+import os
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evrect import _native
+from evrect.errors import DataError
+from evrect.events import EventStream, SensorGeometry
+from evrect.filtering import FilterConfig, cascade
+from evrect.pipeline import (
+    PipelineConfig,
+    extract_stream_descriptors,
+    run_classify,
+    run_detect,
+    save_bundle,
+    train_pipeline,
+)
+from evrect.rect import RectConfig
+from evrect.synth import SceneSpec, synth_scene
+
+
+@contextmanager
+def python_kernels():
+    """Run the block as on a host where the kernels cannot be built."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        yield
+
+
+def test_kernels_build_where_gcc_is():
+    if not os.path.exists(_native.CC):
+        pytest.skip(f"no {_native.CC}: the Python loops are the only path here")
+    assert _native.load() is not None
+
+
+@st.composite
+def filter_cases(draw):
+    """Tie-prone streams: few pixels, so the same pixel and its neighbours
+    recur, and gaps that land exactly on, just under and just over each
+    threshold."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    theta_ref = draw(st.integers(1, 12))
+    theta_noise = draw(st.integers(1, 12))
+    gaps = st.sampled_from(sorted({0, 1, theta_ref - 1, theta_ref, theta_ref + 1,
+                                   theta_noise - 1, theta_noise, theta_noise + 1}))
+    events = draw(st.lists(
+        st.tuples(st.integers(0, cols - 1), st.integers(0, rows - 1), gaps), max_size=150,
+    ))
+    ts = np.cumsum([g for _, _, g in events], dtype=np.int64)
+    stream = EventStream(
+        SensorGeometry(n_rows=rows, n_cols=cols),
+        np.asarray([e[0] for e in events], dtype=np.int64),
+        np.asarray([e[1] for e in events], dtype=np.int64),
+        ts,
+        np.arange(len(events)) % 2,
+    )
+    return stream, FilterConfig(theta_noise_us=theta_noise, theta_ref_us=theta_ref)
+
+
+def _columns(stream: EventStream):
+    return [a.tolist() for a in (stream.x, stream.y, stream.t, stream.p)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(filter_cases())
+def test_cascade_native_equals_python(case):
+    stream, cfg = case
+    got = cascade(stream, cfg)
+    with python_kernels():
+        want = cascade(stream, cfg)
+    assert _columns(got) == _columns(want)
+
+
+@st.composite
+def rect_cases(draw):
+    """Small sensors whose sides need not divide by the pooling cell, FIFO
+    capacities below and above the stream length, and every patch width
+    that fits a few pooled cells."""
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 12))
+    cfg = RectConfig(
+        s=draw(st.integers(1, 40)),
+        p=draw(st.integers(1, 5)),
+        q=draw(st.integers(1, 5)),
+        w=draw(st.sampled_from([1, 3, 5, 7])),
+        normalize=draw(st.booleans()),
+    )
+    n = draw(st.integers(0, 80))
+    xs = draw(st.lists(st.integers(0, cols - 1), min_size=n, max_size=n))
+    ys = draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n))
+    geometry = SensorGeometry(n_rows=rows, n_cols=cols)
+    stream = EventStream(geometry, xs, ys, np.arange(n), np.zeros(n))
+    return geometry, cfg, stream
+
+
+@settings(max_examples=300, deadline=None)
+@given(rect_cases())
+def test_descriptors_native_equal_python_bit_for_bit(case):
+    geometry, cfg, stream = case
+    got, kernels = extract_stream_descriptors(geometry, cfg, stream)
+    with python_kernels():
+        want, fallback = extract_stream_descriptors(geometry, cfg, stream)
+    assert fallback == "python"
+    assert kernels == ("python" if _native.load() is None else "native")
+    assert got.shape == want.shape == (len(stream), cfg.dim)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernels", ["native", "python"])
+def test_coordinates_are_checked_before_the_loops(kernels):
+    geometry = SensorGeometry(n_rows=4, n_cols=5)
+    # x == n_cols would address the next row's first pixel in a flat map
+    stream = EventStream(geometry, [1, 5], [0, 2], [0, 10], [0, 1], validate=False)
+    below = EventStream(geometry, [1, 2], [0, -1], [0, 10], [0, 1], validate=False)
+    with pytest.MonkeyPatch.context() as mp:
+        if kernels == "python":
+            mp.setattr(_native, "load", lambda: None)
+        for bad in (stream, below):
+            with pytest.raises(DataError, match="event 1: coordinate .* outside 5x4 sensor"):
+                cascade(bad, FilterConfig())
+            with pytest.raises(DataError, match="event 1: coordinate .* outside 5x4 sensor"):
+                extract_stream_descriptors(geometry, RectConfig(s=4, p=2, q=2, w=3), bad)
+
+
+def _run_all(config, train, probe):
+    tp = train_pipeline(config, train)
+    classified = run_classify(tp, probe)
+    detected = [run_detect(tp, probe, name) for name in tp.class_names]
+    return save_bundle(tp), classified, detected
+
+
+@pytest.mark.parametrize("profile", ["float", "hardware"])
+def test_forced_fallback_gives_the_same_outputs(profile):
+    spec = dict(noise_rate=4_000.0, duration_us=250_000)
+    train = [
+        ("bar", synth_scene(SceneSpec(shape="bar", vx=20.0, **spec), seed=1)[0]),
+        ("ring", synth_scene(SceneSpec(shape="ring", vy=15.0, **spec), seed=2)[0]),
+    ]
+    probe = synth_scene(SceneSpec(shape="ring", vy=15.0, **spec), seed=3)[0]
+    config = PipelineConfig(
+        rect_cfg=RectConfig(s=300, p=3, q=2, w=5), k=16, s_window=500, n_landmarks=4,
+        sample_cap=3_000, svm_epochs=10, profile=profile,
+    )
+    blob, classified, detected = _run_all(config, train, probe)
+    with python_kernels():
+        blob_py, classified_py, detected_py = _run_all(config, train, probe)
+    assert blob == blob_py
+    assert len(classified) >= 2
+    assert [(r.t_end, r.label, r.scores.tobytes()) for r in classified] == [
+        (r.t_end, r.label, r.scores.tobytes()) for r in classified_py
+    ]
+    assert detected == detected_py

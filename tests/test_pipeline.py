@@ -5,13 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from evrect.detector import evaluate
+from evrect import _native
+from evrect.detector import DetectorModel, HeatMapTracker, evaluate, heat_update
 from evrect.errors import DataError
 from evrect.events import EventStream
 from evrect.filtering import cascade
 from evrect.pipeline import (
+    DetectWindow,
     PipelineConfig,
     extract_stream_descriptors,
+    fifo_snapshot,
     load_bundle,
     run_bench,
     run_classify,
@@ -220,6 +223,41 @@ def test_detect_reports_landmark_hits(tp_vpca, test_stream):
             assert 0 <= w.y < geom.n_rows
 
 
+def test_detect_equals_per_hit_tracker_replay(tp_vpca, test_stream):
+    cfg = tp_vpca.config
+    filtered = cascade(test_stream, cfg.filter_cfg)
+    desc, _ = extract_stream_descriptors(cfg.geometry, cfg.rect_cfg, filtered)
+    leaves = tp_vpca.descend_leaves(tp_vpca.project_features(desc), cfg.profile)
+    by_use = np.argsort(np.bincount(leaves, minlength=tp_vpca.tree.n_points), kind="stable")
+    # short windows under the rarest leaf leave windows without hits; under
+    # the commonest, pixels often share the largest count
+    s_window = 40
+    empty_windows = tied_windows = 0
+    for leaf in (by_use[0], by_use[-1]):
+        model = DetectorModel(landmarks=(int(leaf),))
+        tp = dataclasses.replace(
+            tp_vpca, config=dataclasses.replace(cfg, s_window=s_window), landmarks={"ring": model}
+        )
+        got = run_detect(tp, test_stream, target="ring")
+        spans = window_spans(len(filtered), s_window)
+        assert len(got) == len(spans)
+        for (start, end), window in zip(spans, got):
+            tracker = HeatMapTracker(cfg.geometry)
+            for i in range(start, end):
+                heat_update(tracker, model, int(filtered.x[i]), int(filtered.y[i]), int(leaves[i]))
+            spot = tracker.detect()
+            assert window == DetectWindow(
+                t_end=int(filtered.t[end - 1]),
+                x=None if spot is None else spot[0],
+                y=None if spot is None else spot[1],
+                threshold=tracker.threshold,
+                landmark_hits=int(tracker.counts.sum()),
+            )
+            empty_windows += spot is None
+            tied_windows += len(tracker.fifo) > 1
+    assert empty_windows and tied_windows
+
+
 def test_moving_ring_detected_inside_truth_box():
     # zero-noise moving ring: the landmark heat map should localize the
     # object within the ground-truth box in at least 9 of 10 windows
@@ -315,21 +353,19 @@ def test_descriptor_snapshots_match_replay(rng, small_geometry):
     ys = rng.integers(0, small_geometry.n_rows, size=n)
     ts = np.cumsum(rng.integers(1, 50, size=n))
     stream = EventStream(small_geometry, xs, ys, ts, np.ones(n), validate=False)
-    marks = frozenset({0, 57, 299})
-    desc, snaps = extract_stream_descriptors(small_geometry, cfg, stream, snapshot_at=marks)
-    assert desc.shape == (n, cfg.dim)
-    assert [s[0] for s in snaps] == sorted(marks)
+    marks = {0, 57, 299}
     state = RectState(small_geometry, cfg)
-    j = 0
     for i in range(n):
         state.push(int(xs[i]), int(ys[i]))
         if i in marks:
-            assert np.array_equal(state.counts, snaps[j][1])
-            assert np.array_equal(state.pooled, snaps[j][2])
-            j += 1
+            counts, pooled = fifo_snapshot(small_geometry, cfg, stream, i)
+            assert np.array_equal(state.counts, counts)
+            assert np.array_equal(state.pooled, pooled)
 
 
 def _check_stage_times(report, tp, stream):
+    assert report.kernels == ("python" if _native.load() is None else "native")
+    assert f"kernels          : {report.kernels}" in report.as_text()
     assert report.accepted_events == len(cascade(stream, tp.config.filter_cfg))
     assert set(report.stage_us) == {"filter", "describe", "project", "descend", "score"}
     assert all(us > 0 for us in report.stage_us.values())

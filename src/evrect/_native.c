@@ -1,8 +1,9 @@
 /* Per-event loops of the classify path, in C: the refractory + 8-neighbour
- * noise cascade, and the FIFO count matrix read out as one w x w patch per
- * event.  Both follow the reference models in filtering.py (CascadeFilter)
- * and rect.py (RectState) step for step.  The caller checks every
- * coordinate against the geometry before calling.
+ * noise cascade, the FIFO count matrix read out as one w x w patch per
+ * event, and the k-d tree descent.  They follow the reference models in
+ * filtering.py (CascadeFilter), rect.py (RectState) and kdtree.py (descend)
+ * step for step.  The caller checks every coordinate against the geometry,
+ * and every column index against the row width, before calling.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -93,5 +94,28 @@ int evrect_patches(int64_t n, const int64_t *xs, const int64_t *ys, int64_t s, i
                 row[a * w + b] = (double)corner[a * stride + b] / area;
     }
     free(grid);
+    return 0;
+}
+
+/* out[i] is the leaf index reached by row i of the n x width matrix `rows`
+ * (C order), walking from the root: node j is a leaf when col[j] < 0, and
+ * otherwise goes left when row[col[j]] <= split_val[j] (ties go left, NaN
+ * goes right).  Every step must go to a later node that exists, so every
+ * walk ends; returns 0, or -1 at the first step that does not. */
+int evrect_descend(int64_t n, const double *rows, int64_t width, int64_t n_nodes,
+                   const int64_t *col, const double *split_val, const int32_t *left,
+                   const int32_t *right, const int32_t *leaf_index, int64_t *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double *row = rows + i * width;
+        int64_t node = 0;
+        while (col[node] >= 0) {
+            int64_t next = row[col[node]] <= split_val[node] ? left[node] : right[node];
+            if (next <= node || next >= n_nodes)
+                return -1;
+            node = next;
+        }
+        out[i] = leaf_index[node];
+    }
     return 0;
 }

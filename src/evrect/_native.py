@@ -1,5 +1,6 @@
-"""C kernels for the two per-event loops of the classify path, loaded with
-``ctypes``: the noise cascade and the FIFO patch copy (``_native.c``).
+"""C kernels for the three per-event loops of the classify path, loaded with
+``ctypes``: the noise cascade, the FIFO patch copy and the k-d tree descent
+(``_native.c``).
 
 The library is built with the local gcc on the first call that needs it,
 never at import, into ``__pycache__`` beside this file, named by the hash of
@@ -18,12 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DataError
+
 CC = "/usr/bin/gcc"
 _SOURCE = Path(__file__).with_name("_native.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 
 _i64 = ctypes.c_int64
 _ptr = ctypes.c_void_p
+
+BAD_STEP = "a tree node's child is not a later node, so a walk might never end"
 
 
 def _build(source: bytes, target: Path) -> None:
@@ -66,6 +71,8 @@ def load() -> ctypes.CDLL | None:
     lib.evrect_patches.argtypes = [_i64, _ptr, _ptr, _i64, _i64, _i64, _i64, _i64, _i64,
                                    ctypes.c_double, _ptr]
     lib.evrect_patches.restype = ctypes.c_int
+    lib.evrect_descend.argtypes = [_i64, _ptr, _i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]
+    lib.evrect_descend.restype = ctypes.c_int
     return lib
 
 
@@ -110,4 +117,28 @@ def patches(
                                 float(p * q), out.ctypes.data)
     if status < 0:
         raise MemoryError("count matrix: no memory for the pooled grid")
+    return out
+
+
+def descend(
+    rows: np.ndarray, node_col: np.ndarray, split_val: np.ndarray, left: np.ndarray,
+    right: np.ndarray, leaf_index: np.ndarray,
+) -> np.ndarray | None:
+    """The leaf index each row of the 2-D matrix ``rows`` reaches, read in
+    place when it is C-order float64, or None without the kernels.  Node j
+    reads column ``node_col[j]``, or is a leaf where that is -1; columns must
+    lie inside the rows, and every node array must be as long as
+    ``node_col``.  DataError at a step to an earlier or missing node."""
+    lib = load()
+    if lib is None:
+        return None
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    col = np.ascontiguousarray(node_col, dtype=np.int64)
+    val = np.ascontiguousarray(split_val, dtype=np.float64)
+    lo, hi, leaf = (np.ascontiguousarray(a, dtype=np.int32) for a in (left, right, leaf_index))
+    out = np.empty(len(rows), dtype=np.int64)
+    if lib.evrect_descend(len(rows), rows.ctypes.data, rows.shape[1], len(col), col.ctypes.data,
+                          val.ctypes.data, lo.ctypes.data, hi.ctypes.data, leaf.ctypes.data,
+                          out.ctypes.data) < 0:
+        raise DataError(BAD_STEP)
     return out

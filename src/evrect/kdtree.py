@@ -9,6 +9,15 @@ dimensions reproduces the structure exactly.
 
 A packed 49-bit-per-node encoding mirrors the ROM layout of the
 hardware profile, with 8-bit affine-quantized split values.
+
+:func:`descend` and :func:`quantized_descend` walk one query and are the
+reference models.  :func:`descend_batch` walks a whole matrix of queries
+in the C loop of ``_native`` (a per-level numpy loop where it cannot be
+built), reading the matrix in place through a column map, so that a tree
+over a virtual projection descends the full descriptor matrix without a
+copy of the kept columns.  Both batch paths raise DataError at a step that
+does not go to a later node, and :func:`check_tree` rejects such a tree
+up front, so no walk reads outside the tree or runs forever.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import CapacityError, DataError
 
 MAX_PACKED_NODES = 1 << 12
@@ -146,21 +156,69 @@ def descend_path(tree: KdTree, query: np.ndarray) -> list[int]:
     return path
 
 
-def descend_batch(tree: KdTree, queries: np.ndarray) -> np.ndarray:
-    """Vectorized descent of many queries at once."""
+def descend_batch(tree: KdTree, queries: np.ndarray, columns=None) -> np.ndarray:
+    """The leaf :func:`descend` gives for each row of ``queries``.
+
+    Tree dimension j reads column ``columns[j]`` of the matrix, or column j
+    when ``columns`` is None, so a tree over a virtual projection descends
+    the full descriptor matrix in place.
+    """
     q = np.ascontiguousarray(queries, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != tree.dim:
-        raise DataError(f"queries must be 2-D with {tree.dim} columns")
-    cur = np.zeros(len(q), dtype=np.int32)
-    active = np.flatnonzero(~tree.is_leaf[cur])
+    if columns is None:
+        if q.ndim != 2 or q.shape[1] != tree.dim:
+            raise DataError(f"queries must be 2-D with {tree.dim} columns")
+        cols = np.arange(tree.dim, dtype=np.int64)
+    else:
+        cols = np.asarray(columns, dtype=np.int64)
+        if q.ndim != 2 or cols.shape != (tree.dim,):
+            raise DataError(f"queries must be 2-D and columns must map all {tree.dim} tree dimensions")
+        if cols.size and (cols.min() < 0 or cols.max() >= q.shape[1]):
+            raise DataError(f"a column index lies outside the {q.shape[1]} query columns")
+    internal = _internal_nodes(tree)
+    n = tree.n_nodes
+    # the column each node reads, -1 at a leaf
+    node_col = np.full(n, -1, dtype=np.int64)
+    node_col[internal] = cols[tree.split_dim[internal]]
+    leaves = _native.descend(q, node_col, tree.split_val, tree.left, tree.right, tree.leaf_index)
+    if leaves is not None:
+        return leaves
+    cur = np.zeros(len(q), dtype=np.int64)
+    active = np.arange(len(q)) if node_col[0] >= 0 else np.arange(0)
     while active.size:
         idx = cur[active]
-        vals = q[active, tree.split_dim[idx]]
-        go_left = vals <= tree.split_val[idx]
+        go_left = q[active, node_col[idx]] <= tree.split_val[idx]
         nxt = np.where(go_left, tree.left[idx], tree.right[idx])
+        if ((nxt <= idx) | (nxt >= n)).any():
+            raise DataError(_native.BAD_STEP)
         cur[active] = nxt
-        active = active[~tree.is_leaf[nxt]]
+        active = active[node_col[nxt] >= 0]
     return tree.leaf_index[cur].astype(np.int64)
+
+
+def _internal_nodes(tree: KdTree) -> np.ndarray:
+    """Indices of the internal nodes, after checking that the node arrays
+    share one length and that every split dimension lies below ``tree.dim``."""
+    n = tree.n_nodes
+    if n == 0 or any(len(a) != n for a in (tree.split_dim, tree.split_val, tree.left, tree.right, tree.leaf_index)):
+        raise DataError("tree node arrays are empty or differ in length")
+    internal = np.flatnonzero(~tree.is_leaf)
+    dims = tree.split_dim[internal]
+    if ((dims < 0) | (dims >= tree.dim)).any():
+        raise DataError(f"a split dimension lies outside the tree's {tree.dim}")
+    return internal
+
+
+def check_tree(tree: KdTree) -> None:
+    """DataError unless every walk of ``tree`` ends at a leaf of one of its
+    ``n_points`` entries: node arrays of one length, split dimensions below
+    ``tree.dim``, children later than their parent and inside the tree, and
+    leaf ids a permutation of 0..n_points-1."""
+    internal = _internal_nodes(tree)
+    for child in (tree.left[internal], tree.right[internal]):
+        if ((child <= internal) | (child >= tree.n_nodes)).any():
+            raise DataError(_native.BAD_STEP)
+    if not np.array_equal(np.sort(tree.leaf_index[tree.is_leaf]), np.arange(tree.n_points)):
+        raise DataError(f"leaf ids are not a permutation of 0..{tree.n_points - 1}")
 
 
 def exact_nn(points: np.ndarray, query: np.ndarray) -> int:
@@ -184,6 +242,11 @@ class VirtualProjection:
 
     kept_dims: tuple[int, ...]
     source_dim: int
+
+    def __post_init__(self) -> None:
+        kept = np.asarray(self.kept_dims, dtype=np.int64)
+        if kept.size and (kept[0] < 0 or kept[-1] >= self.source_dim or (np.diff(kept) <= 0).any()):
+            raise DataError(f"kept dimensions must ascend and lie in 0..{self.source_dim - 1}")
 
     def restrict(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64)[..., list(self.kept_dims)]
@@ -280,10 +343,12 @@ def pack(tree: KdTree) -> PackedTree:
     return PackedTree(words=words, vmin=vmin, vmax=vmax)
 
 
-def unpack(packed: PackedTree) -> KdTree:
+def unpack(packed: PackedTree, dim: int | None = None) -> KdTree:
     """Rebuild a descendable tree from the ROM image.
 
-    Split values come back quantized; the training points are gone.
+    Split values come back quantized; the training points are gone.  The
+    tree's dimension is ``dim``, by default one past its highest split
+    dimension.
     """
     w = packed.words
     if (w >> 49).any():
@@ -296,7 +361,8 @@ def unpack(packed: PackedTree) -> KdTree:
     split_dim = np.where(is_leaf, -1, (w & 0xF).astype(np.int64)).astype(np.int32)
     split_val = np.where(is_leaf, np.nan, _dequantize(codes, packed.vmin, packed.vmax))
     internal = ~is_leaf
-    dim = int(split_dim[internal].max()) + 1 if internal.any() else 0
+    if dim is None:
+        dim = int(split_dim[internal].max()) + 1 if internal.any() else 0
     n_points = int(is_leaf.sum())
     return KdTree(is_leaf, split_dim, split_val, left, right, leaf_index, None, dim, n_points)
 
@@ -320,7 +386,7 @@ def quantized_descend(packed: PackedTree, query: np.ndarray) -> int:
 
 def quantized_descend_batch(packed: PackedTree, queries: np.ndarray) -> np.ndarray:
     """Vectorized equivalent of quantized_descend."""
-    return descend_batch(unpack(packed), queries)
+    return descend_batch(unpack(packed, np.shape(queries)[-1]), queries)
 
 
 def dump_rom(packed: PackedTree) -> str:

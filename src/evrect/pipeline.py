@@ -39,6 +39,7 @@ from .kdtree import (
     PackedTree,
     VirtualProjection,
     build,
+    check_tree,
     descend_batch,
     harvest_dims,
     pack,
@@ -122,6 +123,8 @@ class TrainedPipeline:
     _qtree: KdTree | None = field(default=None, repr=False, compare=False)
 
     def project_features(self, descriptors: np.ndarray) -> np.ndarray:
+        """The descriptors in the tree's feature space, as a new matrix; the
+        classify path itself descends a vPCA tree on the descriptors in place."""
         if self.pca_model is not None:
             return pca_mod.project(self.pca_model, descriptors)
         if self.vproj is not None:
@@ -132,12 +135,14 @@ class TrainedPipeline:
         if self.packed is None:
             raise DataError("bundle carries no packed tree; hardware profile unavailable")
         if self._qtree is None:
-            self._qtree = unpack(self.packed)
+            self._qtree = unpack(self.packed, self.tree.dim)
         return self._qtree
 
+    def profile_tree(self, profile: str) -> KdTree:
+        return self.quantized_tree() if profile == "hardware" else self.tree
+
     def descend_leaves(self, projected: np.ndarray, profile: str) -> np.ndarray:
-        tree = self.quantized_tree() if profile == "hardware" else self.tree
-        return descend_batch(tree, projected)
+        return descend_batch(self.profile_tree(profile), projected)
 
     def window_scores(self, counts: np.ndarray, profile: str) -> np.ndarray:
         if profile == "hardware":
@@ -302,11 +307,7 @@ def train_pipeline(
             if len(stream) == 0:
                 continue
             desc, _ = extract_stream_descriptors(config.geometry, config.rect_cfg, stream)
-            leaves = descend_batch(tree, (
-                pca_mod.project(pca_model, desc) if pca_model is not None
-                else vproj.restrict(desc) if vproj is not None
-                else desc
-            ))
+            leaves = _descriptor_leaves(tree, pca_model, vproj, desc)
             per_class_counts[label] += np.bincount(leaves, minlength=tree.n_points)
             for h in windows_from_leaves(leaves, tree.n_points, config.s_window):
                 hists.append(h.counts)
@@ -399,6 +400,22 @@ class _StageClock:
         self.ns[stage] += time.perf_counter_ns() - start
 
 
+def _descriptor_leaves(
+    tree: KdTree, pca_model: PcaModel | None, vproj: VirtualProjection | None,
+    desc: np.ndarray, clock=nullcontext,
+) -> np.ndarray:
+    """The leaf each descriptor reaches: PCA projects first; a virtual
+    projection only names the columns the tree reads, in place."""
+    with clock("project"):
+        queries, columns = desc, None
+        if pca_model is not None:
+            queries = pca_mod.project(pca_model, desc)
+        elif vproj is not None:
+            columns = vproj.kept_dims
+    with clock("descend"):
+        return descend_batch(tree, queries, columns)
+
+
 def _leaves(
     tp: TrainedPipeline, stream: EventStream, prof: str, clock
 ) -> tuple[EventStream, np.ndarray | None]:
@@ -412,10 +429,7 @@ def _leaves(
         return filtered, None
     with clock("describe"):
         desc, _ = extract_stream_descriptors(cfg.geometry, cfg.rect_cfg, filtered)
-    with clock("project"):
-        projected = tp.project_features(desc)
-    with clock("descend"):
-        leaves = tp.descend_leaves(projected, prof)
+    leaves = _descriptor_leaves(tp.profile_tree(prof), tp.pca_model, tp.vproj, desc, clock)
     return filtered, leaves
 
 
@@ -644,16 +658,28 @@ def load_bundle(data: bytes) -> TrainedPipeline:
             eigenvalues=p["eigenvalues"],
             energy_kept=float(meta["pca_energy_kept"]),
         )
-    vproj = None
-    if meta.get("kept_dims") is not None:
-        vproj = VirtualProjection(
-            kept_dims=tuple(int(d) for d in meta["kept_dims"]),
-            source_dim=int(meta["source_dim"]),
-        )
-    packed = None
-    if "PACK" in sections:
-        vmin, vmax = meta["packed_range"]
-        packed = PackedTree(words=sections["PACK"]["words"], vmin=float(vmin), vmax=float(vmax))
+    # every walk must end inside the tree, so both trees are checked here,
+    # before any descent reads them
+    try:
+        check_tree(tree)
+        vproj = None
+        if meta.get("kept_dims") is not None:
+            vproj = VirtualProjection(
+                kept_dims=tuple(int(d) for d in meta["kept_dims"]),
+                source_dim=int(meta["source_dim"]),
+            )
+            if len(vproj.kept_dims) != tree.dim:
+                raise DataError(f"{len(vproj.kept_dims)} kept dimensions for a tree over {tree.dim}")
+        packed = qtree = None
+        if "PACK" in sections:
+            vmin, vmax = meta["packed_range"]
+            packed = PackedTree(words=sections["PACK"]["words"], vmin=float(vmin), vmax=float(vmax))
+            qtree = unpack(packed, tree.dim)
+            check_tree(qtree)
+            if qtree.n_points != tree.n_points:
+                raise DataError(f"packed tree has {qtree.n_points} leaves for {tree.n_points} entries")
+    except DataError as exc:
+        raise DataError(f"bundle: {exc}") from None
     stream_model = None
     if config.s_window >= 1:
         stream_model = export_stream(
@@ -674,4 +700,5 @@ def load_bundle(data: bytes) -> TrainedPipeline:
         packed=packed,
         stream_model=stream_model,
         stats=dict(meta.get("stats") or {}),
+        _qtree=qtree,
     )

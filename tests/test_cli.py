@@ -209,7 +209,28 @@ def test_bench_reports_throughput(cli_dir, float_bundle, capsys):
     assert "stage descend" in out
 
 
-def test_malformed_bundle_is_data_error(cli_dir, float_bundle, tmp_path, capsys):
+def _tree_mutants(blob):
+    """Bundles whose float or packed tree has a child that no walk can take."""
+    from evrect.bundle import write_bundle
+
+    _, sections = read_bundle(blob)
+    inner = int(np.flatnonzero(~sections["TREE"]["is_leaf"].astype(bool))[1])
+    root_word = sections["PACK"]["words"][0] | np.uint64(0xFFF << 36)
+    edits = {
+        "tree child 999": ("TREE", "left", 0, 999),
+        "tree child is the root": ("TREE", "left", inner, 0),
+        "packed root left 4095": ("PACK", "words", 0, root_word),
+    }
+    out = {}
+    for name, (section, key, i, value) in edits.items():
+        meta, sections = read_bundle(blob)
+        array = sections[section][key] = sections[section][key].copy()
+        array[i] = value
+        out[name] = write_bundle(meta, sections)
+    return out
+
+
+def test_malformed_bundle_is_data_error(cli_dir, float_bundle, hw_bundle, tmp_path, capsys):
     from evrect.bundle import write_bundle
 
     probe = cli_dir / "probe.csv"
@@ -234,6 +255,24 @@ def test_malformed_bundle_is_data_error(cli_dir, float_bundle, tmp_path, capsys)
         err = capsys.readouterr().err
         assert code == 2, name
         assert err.startswith("error: bundle:"), (name, err)
+    # each in its own process: a walk that never ends must fail the test,
+    # not hang it
+    probe = tmp_path / "tree_probe.csv"
+    write_scene(probe, "ring", seed=3, duration_us=100_000)
+    for name, data in _tree_mutants(hw_bundle.read_bytes()).items():
+        bad = tmp_path / f"{name}.evrb"
+        bad.write_bytes(data)
+        for command in ("classify", "detect"):
+            for profile in ("float", "hardware"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "evrect.cli", command, "--bundle", str(bad),
+                     "--input", str(probe), "--profile", profile],
+                    capture_output=True, text=True, timeout=60,
+                )
+                case = (name, command, profile, proc.stderr)
+                assert proc.returncode == 2, case
+                assert proc.stderr.startswith("error: bundle:"), case
+                assert "Traceback" not in proc.stderr, case
 
 
 def test_tree_dump_round_trips(cli_dir, hw_bundle, tmp_path):

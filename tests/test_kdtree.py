@@ -266,3 +266,8 @@ def test_descend_dimension_mismatch(rng):
         descend(tree, np.zeros(2))
     with pytest.raises(DataError):
         descend_batch(tree, np.zeros((5, 2)))
+    wide = np.zeros((5, 4))
+    assert np.array_equal(descend_batch(tree, wide, (0, 2, 3)), descend_batch(tree, wide[:, [0, 2, 3]]))
+    for columns in ((0, 2), (0, 2, 4), (-1, 0, 1)):
+        with pytest.raises(DataError, match="column"):
+            descend_batch(tree, wide, columns)

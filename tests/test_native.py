@@ -1,9 +1,12 @@
 """The C kernels against the Python reference loops they replace: the noise
-cascade, the per-event descriptors, and whole train / classify / detect runs
-with the kernels forced off."""
+cascade, the per-event descriptors, the k-d tree descent, and whole train /
+classify / detect runs with the kernels forced off."""
 
 import os
-from contextlib import contextmanager
+import shutil
+import subprocess
+import threading
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -14,6 +17,17 @@ from evrect import _native
 from evrect.errors import DataError
 from evrect.events import EventStream, SensorGeometry
 from evrect.filtering import FilterConfig, cascade
+from evrect.kdtree import (
+    KdTree,
+    VirtualProjection,
+    build,
+    check_tree,
+    descend,
+    descend_batch,
+    pack,
+    quantized_descend,
+    unpack,
+)
 from evrect.pipeline import (
     PipelineConfig,
     extract_stream_descriptors,
@@ -158,3 +172,107 @@ def test_forced_fallback_gives_the_same_outputs(profile):
         (r.t_end, r.label, r.scores.tobytes()) for r in classified_py
     ]
     assert detected == detected_py
+
+
+def test_native_source_compiles_without_warnings():
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    proc = subprocess.run(
+        ["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(_native._SOURCE)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@st.composite
+def descent_cases(draw):
+    """A tree over few distinct values, so that splits tie and points
+    repeat coordinates, and queries that sit on split values, repeat
+    training points or hold NaN, embedded in a wider matrix at ascending
+    columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 6))
+    levels = draw(st.integers(1, 4))
+    pts = np.unique(rng.integers(0, levels + 1, size=(draw(st.integers(1, 40)), d)), axis=0) / levels
+    tree = build(pts)
+    n = draw(st.integers(0, 60))
+    queries = rng.integers(0, levels + 1, size=(n, d)) / levels
+    internal = np.flatnonzero(~tree.is_leaf)
+    if internal.size:
+        # put split values on their split dimensions
+        nodes = rng.choice(internal, size=n)
+        queries[np.arange(n), tree.split_dim[nodes]] = tree.split_val[nodes]
+    repeat = rng.random(n) < 0.2
+    queries[repeat] = pts[rng.integers(0, len(pts), size=int(repeat.sum()))]
+    queries[rng.random((n, d)) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = np.nan
+    source_dim = d + draw(st.integers(0, 5))
+    kept = np.sort(rng.choice(source_dim, size=d, replace=False))
+    full = rng.standard_normal((n, source_dim))
+    full[:, kept] = queries
+    return tree, queries, VirtualProjection(tuple(int(c) for c in kept), source_dim), full
+
+
+def _both_paths(fn):
+    with python_kernels():
+        fallback = fn()
+    return fn(), fallback
+
+
+@settings(max_examples=300, deadline=None)
+@given(descent_cases())
+def test_descent_native_equals_fallback_and_per_event(case):
+    tree, queries, vproj, full = case
+    want = np.asarray([descend(tree, q) for q in queries], dtype=np.int64)
+    for got in _both_paths(lambda: descend_batch(tree, queries)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    for got in _both_paths(lambda: descend_batch(tree, full, vproj.kept_dims)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(vproj.restrict(full), queries, equal_nan=True)
+    packed = pack(tree)
+    qtree = unpack(packed, tree.dim)
+    want_q = np.asarray([quantized_descend(packed, q) for q in queries], dtype=np.int64)
+    assert np.array_equal(want_q, [descend(qtree, q) for q in queries])
+    for got in _both_paths(lambda: descend_batch(qtree, full, vproj.kept_dims)):
+        assert np.array_equal(got, want_q)
+
+
+def _hand_tree(left, right):
+    """Nodes split dimension 0 at 0.0 where both children are given, and
+    are leaves where both are -1."""
+    left, right = np.asarray(left, dtype=np.int32), np.asarray(right, dtype=np.int32)
+    is_leaf = (left == -1) & (right == -1)
+    leaf_index = np.where(is_leaf, np.cumsum(is_leaf) - 1, -1).astype(np.int32)
+    return KdTree(is_leaf, np.where(is_leaf, -1, 0).astype(np.int32), np.where(is_leaf, np.nan, 0.0),
+                  left, right, leaf_index, None, 1, int(is_leaf.sum()))
+
+
+# node 2, on the right of the root, has one bad child on its right
+BAD_RIGHT_CHILD = {"back to the root": 0, "itself": 2, "past the end": 999, "negative": -1}
+
+
+def _leaves_or_error(tree, queries):
+    try:
+        return descend_batch(tree, np.asarray(queries)).tolist()
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_RIGHT_CHILD))
+def test_unwalkable_tree_is_a_data_error_on_both_paths(bad):
+    tree = _hand_tree([1, -1, 3, -1], [2, -1, BAD_RIGHT_CHILD[bad], -1])
+    with pytest.raises(DataError, match="later node"):
+        check_tree(tree)
+    # the first batch never reaches node 2; the others step off it
+    batches = ([[-1.0], [0.0]], [[1.0]], [[-1.0], [np.nan]])
+    outcomes = {}
+
+    def walk():
+        for name, kernels in (("native", nullcontext()), ("python", python_kernels())):
+            with kernels:
+                outcomes[name] = [_leaves_or_error(tree, b) for b in batches]
+
+    worker = threading.Thread(target=walk, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "a walk did not end"
+    assert outcomes["native"] == outcomes["python"] == [[0, 0], _native.BAD_STEP, _native.BAD_STEP]

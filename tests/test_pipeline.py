@@ -10,6 +10,7 @@ from evrect.detector import DetectorModel, HeatMapTracker, evaluate, heat_update
 from evrect.errors import DataError
 from evrect.events import EventStream
 from evrect.filtering import cascade
+from evrect.kdtree import quantized_descend
 from evrect.pipeline import (
     DetectWindow,
     PipelineConfig,
@@ -324,6 +325,76 @@ def test_hardware_bundle_round_trip(tp_hw, test_stream):
     assert [r.label for r in a] == [r.label for r in b]
     for x, y in zip(a, b):
         assert np.array_equal(x.scores, y.scores)
+
+
+def test_pca_hardware_rom_narrower_than_the_projection(train_streams, test_stream):
+    # with 6 components and 16 entries the tree never splits on the last
+    # component, so the ROM's highest split dimension is below the width
+    tp = train_pipeline(small_config(pca_mode="pca", pca_dims=6, profile="hardware"),
+                        list(train_streams.items()))
+    assert int(tp.tree.split_dim[~tp.tree.is_leaf].max()) + 1 < tp.tree.dim == 6
+    filtered = cascade(test_stream, tp.config.filter_cfg)
+    desc, _ = extract_stream_descriptors(tp.config.geometry, tp.config.rect_cfg, filtered)
+    projected = tp.project_features(desc)
+    leaves = tp.descend_leaves(projected, "hardware")
+    assert leaves.tolist() == [quantized_descend(tp.packed, q) for q in projected]
+    results = run_classify(tp, test_stream)
+    assert len(results) >= 1
+    clone = run_classify(load_bundle(save_bundle(tp)), test_stream)
+    assert [(r.label, r.scores.tolist()) for r in results] == [(r.label, r.scores.tolist()) for r in clone]
+
+
+def _edit_bundle(blob, edit):
+    from evrect.bundle import read_bundle, write_bundle
+
+    meta, sections = read_bundle(blob)
+    sections = {tag: {k: a.copy() for k, a in arrays.items()} for tag, arrays in sections.items()}
+    edit(meta, sections)
+    return write_bundle(meta, sections)
+
+
+def _repeat_a_leaf_id(meta, sections):
+    tree = sections["TREE"]
+    leaves = np.flatnonzero(tree["is_leaf"])
+    tree["leaf_index"][leaves[0]] = tree["leaf_index"][leaves[1]]
+
+
+def _split_past_tree_dim(meta, sections):
+    sections["TREE"]["split_dim"][0] = meta["tree_dim"]
+
+
+def _kept_dims_descend(meta, sections):
+    meta["kept_dims"].reverse()
+
+
+def _kept_dim_past_source(meta, sections):
+    meta["kept_dims"][-1] = meta["source_dim"]
+
+
+def _drop_a_kept_dim(meta, sections):
+    meta["kept_dims"].pop()
+
+
+def _one_leaf_rom(meta, sections):
+    sections["PACK"]["words"] = np.asarray([1 << 48], dtype=np.uint64)
+
+
+# the message each edit must give, after "bundle: "
+BUNDLE_EDITS = {
+    "leaf ids are not a permutation": _repeat_a_leaf_id,
+    "split dimension lies outside": _split_past_tree_dim,
+    "kept dimensions must ascend": _kept_dims_descend,
+    "lie in 0..": _kept_dim_past_source,
+    "kept dimensions for a tree": _drop_a_kept_dim,
+    "packed tree has 1 leaves": _one_leaf_rom,
+}
+
+
+@pytest.mark.parametrize("message", sorted(BUNDLE_EDITS))
+def test_inconsistent_tree_rejected_at_load(tp_hw, message):
+    bad = _edit_bundle(save_bundle(tp_hw), BUNDLE_EDITS[message])
+    with pytest.raises(DataError, match=f"^bundle: .*{message}"):
+        load_bundle(bad)
 
 
 def test_stage_prefixed_errors(train_streams):

@@ -4,6 +4,12 @@
  * filtering.py (CascadeFilter), rect.py (RectState) and kdtree.py (descend)
  * step for step.  The caller checks every coordinate against the geometry,
  * and every column index against the row width, before calling.
+ *
+ * Two more serve k-means (dictionary.py): the nearest centre per row of a
+ * product block, and the per-cluster sums.  They repeat the numpy steps
+ * they replace operation for operation, in the same order, so their
+ * results are the same bits; the build turns off FMA contraction so that
+ * gcc keeps every rounding step.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -118,4 +124,43 @@ int evrect_descend(int64_t n, const double *rows, int64_t width, int64_t n_nodes
         out[i] = leaf_index[node];
     }
     return 0;
+}
+
+/* Row i of the n x k block `prod` holds x_i . c_j.  With v_j = prod[i][j]
+ * * -2.0 + c2[j], label[i] is the first j of least v_j (the first NaN when
+ * there is one, as np.argmin picks) and best[i] = max(v + x2[i], 0), NaN
+ * kept. */
+void evrect_nearest(int64_t n, int64_t k, const double *prod, const double *c2,
+                    const double *x2, int64_t *label, double *best)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double *row = prod + i * k;
+        int64_t bj = 0;
+        double bv = row[0] * -2.0 + c2[0];
+        for (int64_t j = 1; j < k && bv == bv; j++) {
+            double v = row[j] * -2.0 + c2[j];
+            if (v < bv || v != v) {
+                bv = v;
+                bj = j;
+            }
+        }
+        double b = bv + x2[i];
+        label[i] = bj;
+        best[i] = b < 0.0 ? 0.0 : b;
+    }
+}
+
+/* Adds row i of the n x d matrix `x` into row label[i] of the k x d `sums`
+ * and counts it in counts[label[i]], in row order, as np.bincount does;
+ * both outputs start at zero.  Every label must lie in [0, k). */
+void evrect_centroid_sums(int64_t n, int64_t d, const double *x, const int64_t *label,
+                          double *sums, int64_t *counts)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double *row = x + i * d;
+        double *acc = sums + label[i] * d;
+        for (int64_t c = 0; c < d; c++)
+            acc[c] += row[c];
+        counts[label[i]] += 1;
+    }
 }

@@ -1,10 +1,11 @@
-"""C kernels for the three per-event loops of the classify path, loaded with
-``ctypes``: the noise cascade, the FIFO patch copy and the k-d tree descent
-(``_native.c``).
+"""C kernels loaded with ``ctypes`` (``_native.c``): the three per-event
+loops of the classify path (the noise cascade, the FIFO patch copy and the
+k-d tree descent) and two k-means steps (the nearest centre per row of a
+product block, and the per-cluster sums).
 
 The library is built with the local gcc on the first call that needs it,
 never at import, into ``__pycache__`` beside this file, named by the hash of
-its source.  When gcc, the build or the cache directory is missing,
+its source and flags.  When gcc, the build or the cache directory is missing,
 :func:`load` returns None and every caller runs its Python reference loop,
 which gives the same results.
 """
@@ -22,6 +23,9 @@ import numpy as np
 from .errors import DataError
 
 CC = "/usr/bin/gcc"
+# -ffp-contract=off: no fused multiply-add, so that the k-means kernels round
+# each step as numpy does
+CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _SOURCE = Path(__file__).with_name("_native.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 
@@ -41,7 +45,7 @@ def _build(source: bytes, target: Path) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            [CC, "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", tmp],
+            [CC, *CFLAGS, "-x", "c", "-", "-o", tmp],
             input=source, check=True, capture_output=True, timeout=120,
         )
         os.replace(tmp, target)
@@ -60,7 +64,8 @@ def load() -> ctypes.CDLL | None:
 
     try:
         source = _SOURCE.read_bytes()
-        target = _CACHE / f"_native-{hashlib.sha256(source).hexdigest()[:16]}.so"
+        digest = hashlib.sha256(source + repr(CFLAGS).encode()).hexdigest()
+        target = _CACHE / f"_native-{digest[:16]}.so"
         if not target.exists():
             _build(source, target)
         lib = ctypes.CDLL(str(target))
@@ -73,6 +78,10 @@ def load() -> ctypes.CDLL | None:
     lib.evrect_patches.restype = ctypes.c_int
     lib.evrect_descend.argtypes = [_i64, _ptr, _i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]
     lib.evrect_descend.restype = ctypes.c_int
+    lib.evrect_nearest.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr]
+    lib.evrect_nearest.restype = None
+    lib.evrect_centroid_sums.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _ptr]
+    lib.evrect_centroid_sums.restype = None
     return lib
 
 
@@ -142,3 +151,38 @@ def descend(
                           out.ctypes.data) < 0:
         raise DataError(BAD_STEP)
     return out
+
+
+def nearest(
+    prod: np.ndarray, c2: np.ndarray, x2: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per row of the n x k block ``prod`` of products x . c: the first
+    index of least ``-2 prod + c2`` (np.argmin's rule) and that value plus
+    ``x2``, floored at zero; or None without the kernels.  All three must be
+    C-order float64."""
+    lib = load()
+    if lib is None:
+        return None
+    n, k = prod.shape
+    labels = np.empty(n, dtype=np.int64)
+    best = np.empty(n, dtype=np.float64)
+    lib.evrect_nearest(n, k, prod.ctypes.data, c2.ctypes.data, x2.ctypes.data,
+                       labels.ctypes.data, best.ctypes.data)
+    return labels, best
+
+
+def centroid_sums(
+    x: np.ndarray, labels: np.ndarray, k: int,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per cluster, the sum of its rows of ``x`` (C-order float64) added in
+    row order, and its row count; or None without the kernels.  Every label
+    must lie in [0, k)."""
+    lib = load()
+    if lib is None:
+        return None
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    sums = np.zeros((k, x.shape[1]), dtype=np.float64)
+    counts = np.zeros(k, dtype=np.int64)
+    lib.evrect_centroid_sums(len(x), x.shape[1], x.ctypes.data, labels.ctypes.data,
+                             sums.ctypes.data, counts.ctypes.data)
+    return sums, counts

@@ -5,6 +5,28 @@ seeded generator, Lloyd iterations with lowest-index tie-breaking, and
 empty clusters keeping their previous centroid.  Exact duplicate
 centroids are collapsed (first occurrence wins) so the tree downstream
 can hold one entry per leaf.
+
+Both phases walk the samples in row blocks, so that no temporary grows
+with the sample count:
+
+- Seeding computes each new centre's squared distances
+  ``einsum("ij,ij->i")`` over blocks of ``_SEED_ROWS`` rows in one reused
+  buffer.  The einsum sums each row on its own, so its bits, and the seeded
+  draws that read them, do not depend on the block.  This step stays in
+  numpy: a C loop would have to match einsum's summation order, which is
+  numpy's to change.
+- Each Lloyd assignment writes ``x @ centers.T`` into one reused block of
+  about 2 MB.  Every product has the same row count, the last block
+  overlapping the one before it, because BLAS may sum a product of few
+  rows in another order.  Per row, the nearest centre is the first index of
+  least ``-2 x.c + |c|^2`` (np.argmin's rule: the lowest index wins, and a
+  NaN is taken first), and its squared distance adds ``|x|^2``, floored at
+  zero.
+- The update adds each row into its cluster's sum in row order.
+
+The nearest-centre step and the sums run as C kernels (``_native``) where
+they can be built, and as the numpy steps they copy elsewhere; both give
+the same bits.
 """
 
 from __future__ import annotations
@@ -13,10 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import DataError, EvrectError
 from .kdtree import KdTree, descend_batch
 
-_ASSIGN_BLOCK = 1 << 22  # floats per distance block, keeps memory flat
+_SEED_ROWS = 1024  # rows per seeding block
+_PRODUCT_FLOATS = 1 << 18  # floats per assignment product block (2 MB)
 
 
 @dataclass(frozen=True)
@@ -36,25 +60,59 @@ class Histogram:
     window_size: int    # events per window
 
 
-def _assign(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid per sample and the squared distance to it."""
+def _lower_distances(x: np.ndarray, center: np.ndarray, d2: np.ndarray) -> None:
+    """Lower ``d2`` to each row's squared distance to ``center`` where that
+    is less."""
+    buf = np.empty((min(_SEED_ROWS, len(x)), x.shape[1]), dtype=np.float64)
+    for s in range(0, len(x), _SEED_ROWS):
+        blk = x[s : s + _SEED_ROWS]
+        diff = buf[: len(blk)]
+        np.subtract(blk, center, out=diff)
+        near = d2[s : s + len(blk)]
+        np.minimum(near, np.einsum("ij,ij->i", diff, diff), out=near)
+
+
+def _nearest(prod: np.ndarray, c2: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centre per row of a product block and its squared distance."""
+    native = _native.nearest(prod, c2, x2)
+    if native is not None:
+        return native
+    prod *= -2.0
+    prod += c2
+    j = np.argmin(prod, axis=1)
+    best = prod[np.arange(len(prod)), j] + x2
+    np.maximum(best, 0.0, out=best)
+    return j, best
+
+
+def _assign(
+    x: np.ndarray, x2: np.ndarray, centers: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid per sample and the squared distance to it, given
+    each sample's squared norm ``x2``."""
     n = len(x)
     k = len(centers)
     labels = np.empty(n, dtype=np.int64)
     best = np.empty(n, dtype=np.float64)
     c2 = np.einsum("ij,ij->i", centers, centers)
-    chunk = max(1, _ASSIGN_BLOCK // max(k, 1))
-    for s in range(0, n, chunk):
-        blk = x[s : s + chunk]
-        d = blk @ centers.T
-        d *= -2.0
-        d += c2
-        j = np.argmin(d, axis=1)
-        labels[s : s + chunk] = j
-        x2 = np.einsum("ij,ij->i", blk, blk)
-        best[s : s + chunk] = d[np.arange(len(blk)), j] + x2
-    np.maximum(best, 0.0, out=best)
+    rows = min(n, max(256, _PRODUCT_FLOATS // k))
+    prod = np.empty((rows, k), dtype=np.float64)
+    # every product has `rows` rows: the last block ends at n
+    for s in [*range(0, n - rows, rows), n - rows]:
+        np.matmul(x[s : s + rows], centers.T, out=prod)
+        labels[s : s + rows], best[s : s + rows] = _nearest(prod, c2, x2[s : s + rows])
     return labels, best
+
+
+def _cluster_sums(x: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per cluster, the sum of its samples and their count."""
+    native = _native.centroid_sums(x, labels, k)
+    if native is not None:
+        return native
+    sums = np.empty((k, x.shape[1]), dtype=np.float64)
+    for dim in range(x.shape[1]):
+        sums[:, dim] = np.bincount(labels, weights=x[:, dim], minlength=k)
+    return sums, np.bincount(labels, minlength=k)
 
 
 def learn(
@@ -73,12 +131,15 @@ def learn(
         raise DataError("dictionary size must be at least 2")
     if len(x) < k:
         raise DataError(f"{len(x)} samples cannot seed {k} clusters")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise DataError(f"sample {int(np.argmin(finite))} holds a non-finite value")
     rng = np.random.default_rng(seed)
 
     centers = np.empty((k, x.shape[1]), dtype=np.float64)
     centers[0] = x[rng.integers(len(x))]
-    diff = x - centers[0]
-    d2 = np.einsum("ij,ij->i", diff, diff)
+    d2 = np.full(len(x), np.inf)
+    _lower_distances(x, centers[0], d2)
     for j in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -86,21 +147,18 @@ def learn(
         else:
             idx = rng.integers(len(x))
         centers[j] = x[idx]
-        diff = x - centers[j]
-        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
+        _lower_distances(x, centers[j], d2)
 
+    x2 = np.einsum("ij,ij->i", x, x)
     history: list[float] = []
     prev = None
     for _ in range(max_iter):
-        labels, dist2 = _assign(x, centers)
+        labels, dist2 = _assign(x, x2, centers)
         inertia = float(dist2.sum())
         if prev is not None and inertia > prev * (1.0 + 1e-9) + 1e-9:
             raise EvrectError("clustering inertia increased between iterations")
         history.append(inertia)
-        counts = np.bincount(labels, minlength=k)
-        sums = np.empty_like(centers)
-        for dim in range(x.shape[1]):
-            sums[:, dim] = np.bincount(labels, weights=x[:, dim], minlength=k)
+        sums, counts = _cluster_sums(x, labels, k)
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
         if prev is not None and prev > 0.0 and (prev - inertia) / prev < tol:

@@ -644,6 +644,18 @@ def load_bundle(data: bytes) -> TrainedPipeline:
         landmark_rows = sections["LAND"]["landmarks"]
     except KeyError as exc:
         raise DataError(f"bundle: missing component {exc.args[0]!r}") from None
+    n_classes, k = len(class_names), len(centroids)
+    n_landmarks = min(config.n_landmarks, k)
+    if svm.weights.shape != (n_classes, k):
+        raise DataError(f"bundle: SVM weights of shape {svm.weights.shape} for "
+                        f"{n_classes} classes over {k} entries")
+    if svm.bias.shape != (n_classes,):
+        raise DataError(f"bundle: SVM bias of shape {svm.bias.shape} for {n_classes} classes")
+    if landmark_rows.shape != (n_classes, n_landmarks):
+        raise DataError(f"bundle: landmarks of shape {landmark_rows.shape} for "
+                        f"{n_classes} classes of {n_landmarks}")
+    if ((landmark_rows < 0) | (landmark_rows >= k)).any():
+        raise DataError(f"bundle: a landmark id outside 0..{k - 1}")
     landmarks = {
         name: DetectorModel(landmarks=tuple(int(v) for v in landmark_rows[i]))
         for i, name in enumerate(class_names)
@@ -678,6 +690,12 @@ def load_bundle(data: bytes) -> TrainedPipeline:
             check_tree(qtree)
             if qtree.n_points != tree.n_points:
                 raise DataError(f"packed tree has {qtree.n_points} leaves for {tree.n_points} entries")
+            # the hardware profile descends the ROM alone, so it must be the
+            # float tree's own packing
+            repacked = pack(tree)
+            if (not np.array_equal(packed.words, repacked.words)
+                    or [packed.vmin, packed.vmax] != [repacked.vmin, repacked.vmax]):
+                raise DataError("packed tree is not the packing of the float tree")
     except DataError as exc:
         raise DataError(f"bundle: {exc}") from None
     stream_model = None

@@ -12,6 +12,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from evrect.errors import EvrectError
 from evrect.events import EventStream, SensorGeometry
 
 
@@ -202,3 +203,79 @@ def window_sums(cols: np.ndarray, s: int) -> np.ndarray:
     if s < len(arr):
         out[s:] = acc[s:] - acc[:-s]
     return out.astype(np.float64)
+
+
+_KMEANS_ASSIGN_BLOCK = 1 << 22  # floats per distance block, keeps memory flat
+
+
+def _kmeans_assign_oracle(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid per sample and the squared distance to it."""
+    n = len(x)
+    k = len(centers)
+    labels = np.empty(n, dtype=np.int64)
+    best = np.empty(n, dtype=np.float64)
+    c2 = np.einsum("ij,ij->i", centers, centers)
+    chunk = max(1, _KMEANS_ASSIGN_BLOCK // max(k, 1))
+    for s in range(0, n, chunk):
+        blk = x[s : s + chunk]
+        d = blk @ centers.T
+        d *= -2.0
+        d += c2
+        j = np.argmin(d, axis=1)
+        labels[s : s + chunk] = j
+        x2 = np.einsum("ij,ij->i", blk, blk)
+        best[s : s + chunk] = d[np.arange(len(blk)), j] + x2
+    np.maximum(best, 0.0, out=best)
+    return labels, best
+
+
+def kmeans_oracle(
+    samples: np.ndarray,
+    k: int,
+    seed: int,
+    max_iter: int = 100,
+    tol: float = 1e-4,
+) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The whole-matrix k-means that ``evrect.dictionary.learn`` computes in
+    blocks: k-means++ seeding on full ``x - c`` differences, Lloyd steps
+    with one product per chunk of about 4M floats, and per-dimension
+    ``bincount`` sums.  Returns the collapsed centroids and the inertia
+    history."""
+    x = np.ascontiguousarray(samples, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+
+    centers = np.empty((k, x.shape[1]), dtype=np.float64)
+    centers[0] = x[rng.integers(len(x))]
+    diff = x - centers[0]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            idx = rng.choice(len(x), p=d2 / total)
+        else:
+            idx = rng.integers(len(x))
+        centers[j] = x[idx]
+        diff = x - centers[j]
+        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
+
+    history: list[float] = []
+    prev = None
+    for _ in range(max_iter):
+        labels, dist2 = _kmeans_assign_oracle(x, centers)
+        inertia = float(dist2.sum())
+        if prev is not None and inertia > prev * (1.0 + 1e-9) + 1e-9:
+            raise EvrectError("clustering inertia increased between iterations")
+        history.append(inertia)
+        counts = np.bincount(labels, minlength=k)
+        sums = np.empty_like(centers)
+        for dim in range(x.shape[1]):
+            sums[:, dim] = np.bincount(labels, weights=x[:, dim], minlength=k)
+        nonempty = counts > 0
+        centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+        if prev is not None and prev > 0.0 and (prev - inertia) / prev < tol:
+            break
+        prev = inertia
+
+    _, first_seen = np.unique(centers, axis=0, return_index=True)
+    keep = np.sort(first_seen)
+    return centers[keep].copy(), tuple(history)

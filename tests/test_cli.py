@@ -209,6 +209,39 @@ def test_bench_reports_throughput(cli_dir, float_bundle, capsys):
     assert "stage descend" in out
 
 
+def _model_mutants(blob):
+    """Edits to a 2-class hardware bundle's model arrays, as (bundle, the
+    commands that used to fail on it): a short weight matrix and an
+    out-of-range landmark ended in a traceback, a 1-element bias (broadcast
+    over both classes) gave wrong scores, and a changed split code in the
+    ROM made the hardware profile silently descend another tree."""
+    from evrect.bundle import write_bundle
+
+    def edited(section, key, edit):
+        meta, sections = read_bundle(blob)
+        sections[section][key] = np.ascontiguousarray(edit(sections[section][key].copy()))
+        return write_bundle(meta, sections)
+
+    def set_at(index, value):
+        def edit(array):
+            array[index] = value
+            return array
+        return edit
+
+    words = read_bundle(blob)[1]["PACK"]["words"]
+    inner = int(np.flatnonzero((words >> np.uint64(48)) == 0)[0])
+    recoded = words[inner] ^ np.uint64(1 << 4)  # lowest bit of the 8-bit split code
+    classify = [("classify",)]
+    return {
+        "weights short by 3 columns": (edited("SVM_", "weights", lambda w: w[:, :-3]), classify),
+        "1-element bias": (edited("SVM_", "bias", lambda b: b[:1]), classify),
+        "landmark id 10**6": (edited("LAND", "landmarks", set_at((0, 0), 10**6)),
+                              [("detect", "--target", "bar")]),
+        "PACK split code": (edited("PACK", "words", set_at(inner, recoded)),
+                            [("classify", "--profile", p) for p in ("float", "hardware")]),
+    }
+
+
 def _tree_mutants(blob):
     """Bundles whose float or packed tree has a child that no walk can take."""
     from evrect.bundle import write_bundle
@@ -230,10 +263,11 @@ def _tree_mutants(blob):
     return out
 
 
-def test_malformed_bundle_is_data_error(cli_dir, float_bundle, hw_bundle, tmp_path, capsys):
+def test_malformed_bundle_is_data_error(float_bundle, hw_bundle, tmp_path, capsys):
     from evrect.bundle import write_bundle
 
-    probe = cli_dir / "probe.csv"
+    probe = tmp_path / "probe.csv"
+    write_scene(probe, "ring", seed=3, duration_us=100_000)
     blob = float_bundle.read_bytes()
     meta, sections = read_bundle(blob)
     del meta["class_names"]
@@ -248,17 +282,20 @@ def test_malformed_bundle_is_data_error(cli_dir, float_bundle, hw_bundle, tmp_pa
         "class_names": no_class_names,
         "list": write_bundle(["evrect-pipeline"], sections),  # META not a JSON object
     }
+    commands = {name: [("classify",)] for name in mutants}
+    for name, (data, runs) in _model_mutants(hw_bundle.read_bytes()).items():
+        mutants[name] = data
+        commands[name] = runs
     for name, data in mutants.items():
         bad = tmp_path / f"{name}.evrb"
         bad.write_bytes(data)
-        code = run_cli("classify", "--bundle", str(bad), "--input", str(probe))
-        err = capsys.readouterr().err
-        assert code == 2, name
-        assert err.startswith("error: bundle:"), (name, err)
+        for command in commands[name]:
+            code = run_cli(command[0], "--bundle", str(bad), "--input", str(probe), *command[1:])
+            err = capsys.readouterr().err
+            assert code == 2, (name, command)
+            assert err.startswith("error: bundle:"), (name, command, err)
     # each in its own process: a walk that never ends must fail the test,
     # not hang it
-    probe = tmp_path / "tree_probe.csv"
-    write_scene(probe, "ring", seed=3, duration_us=100_000)
     for name, data in _tree_mutants(hw_bundle.read_bytes()).items():
         bad = tmp_path / f"{name}.evrb"
         bad.write_bytes(data)

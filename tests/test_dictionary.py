@@ -2,9 +2,20 @@
 
 import numpy as np
 import pytest
+from _oracles import kmeans_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evrect.dictionary import Dictionary, Histogram, accumulate, learn, windows_from_leaves
-from evrect.errors import DataError
+from evrect import _native
+from evrect.dictionary import (
+    _PRODUCT_FLOATS,
+    Dictionary,
+    Histogram,
+    accumulate,
+    learn,
+    windows_from_leaves,
+)
+from evrect.errors import DataError, EvrectError
 from evrect.kdtree import build, descend_batch
 
 
@@ -156,3 +167,75 @@ def test_histogram_window_size_recorded(rng):
     leaves = rng.integers(0, 4, size=30)
     hists = windows_from_leaves(leaves, k=4, window_size=15)
     assert all(isinstance(h, Histogram) and h.window_size == 15 for h in hists)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_rejected(bad):
+    samples = np.random.default_rng(13).standard_normal((50, 4))
+    samples[17, 2] = bad
+    with pytest.raises(DataError, match="sample 17 holds a non-finite value"):
+        learn(samples, k=4, seed=0)
+
+
+def _outcome(fn):
+    try:
+        centroids, history = fn()
+    except EvrectError as exc:
+        return type(exc), str(exc)
+    return centroids.shape, centroids.tobytes(), history
+
+
+def assert_learn_is_oracle(samples, k, seed, **kw):
+    """``learn`` gives the oracle's centroid and inertia bits, with the C
+    kernels and with the numpy steps that stand in for them."""
+    want = _outcome(lambda: kmeans_oracle(samples, k, seed, **kw))
+
+    def run():
+        d = learn(samples, k, seed, **kw)
+        return d.centroids, d.inertia_history
+
+    assert _outcome(run) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        assert _outcome(run) == want
+
+
+def descriptor_like(n, d, seed):
+    """Non-negative rows scattered around a few dozen modes, as pooled
+    patch descriptors are."""
+    rng = np.random.default_rng(seed)
+    modes = rng.random((48, d)) ** 3
+    return np.abs(modes[rng.integers(48, size=n)] + 0.05 * rng.standard_normal((n, d)))
+
+
+@pytest.mark.parametrize("n, d, k", [(40_000, 81, 150), (20_000, 49, 16)])
+def test_learn_matches_oracle_at_workload_shapes(n, d, k):
+    assert_learn_is_oracle(descriptor_like(n, d, seed=k), k, seed=1, max_iter=8)
+
+
+@pytest.mark.parametrize("k, d", [(150, 81), (16, 49)])
+def test_learn_matches_oracle_at_block_edges(k, d):
+    rows = max(256, _PRODUCT_FLOATS // k)
+    x = descriptor_like(rows + 32, d, seed=d)
+    # one product block; then two that overlap in all but a few rows, where
+    # a product of just those rows might sum in another order
+    for n in (rows, rows + 1, rows + 7, rows + 32):
+        assert_learn_is_oracle(x[:n], k, seed=2, max_iter=6)
+
+
+@st.composite
+def tie_prone_samples(draw):
+    """Few distinct values, so rows repeat, distances tie and clusters go
+    empty; k runs up to the row count."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    values = draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d))
+    k = draw(st.one_of(st.just(n), st.integers(2, n)))
+    return np.asarray(values, dtype=np.float64).reshape(n, d) / 3.0, k, draw(st.integers(0, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_prone_samples())
+def test_learn_matches_oracle_on_ties(case):
+    samples, k, seed = case
+    assert_learn_is_oracle(samples, k, seed)

@@ -5,6 +5,7 @@ classify / detect runs with the kernels forced off."""
 import os
 import shutil
 import subprocess
+import sys
 import threading
 from contextlib import contextmanager, nullcontext
 
@@ -52,6 +53,13 @@ def test_kernels_build_where_gcc_is():
     if not os.path.exists(_native.CC):
         pytest.skip(f"no {_native.CC}: the Python loops are the only path here")
     assert _native.load() is not None
+
+
+def test_import_builds_and_loads_nothing():
+    code = ("import evrect, evrect.cli, evrect.pipeline, evrect._native as n; "
+            "assert n.load.cache_info().currsize == 0")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @st.composite
@@ -178,7 +186,7 @@ def test_native_source_compiles_without_warnings():
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH")
     proc = subprocess.run(
-        ["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(_native._SOURCE)],
+        ["gcc", *_native.CFLAGS, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(_native._SOURCE)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -379,6 +379,10 @@ def _one_leaf_rom(meta, sections):
     sections["PACK"]["words"] = np.asarray([1 << 48], dtype=np.uint64)
 
 
+def _widen_packed_range(meta, sections):
+    meta["packed_range"][1] += 1.0
+
+
 # the message each edit must give, after "bundle: "
 BUNDLE_EDITS = {
     "leaf ids are not a permutation": _repeat_a_leaf_id,
@@ -387,6 +391,7 @@ BUNDLE_EDITS = {
     "lie in 0..": _kept_dim_past_source,
     "kept dimensions for a tree": _drop_a_kept_dim,
     "packed tree has 1 leaves": _one_leaf_rom,
+    "not the packing of the float tree": _widen_packed_range,
 }
 
 

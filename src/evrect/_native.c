@@ -1,9 +1,12 @@
-/* Per-event loops of the classify path, in C: the refractory + 8-neighbour
- * noise cascade, the FIFO count matrix read out as one w x w patch per
- * event, and the k-d tree descent.  They follow the reference models in
- * filtering.py (CascadeFilter), rect.py (RectState) and kdtree.py (descend)
- * step for step.  The caller checks every coordinate against the geometry,
- * and every column index against the row width, before calling.
+/* Per-event loops of the classify path, in C: the event CSV parse, the
+ * refractory + 8-neighbour noise cascade, the FIFO count matrix read out as
+ * one w x w patch per event, and the k-d tree descent.  The last three
+ * follow the reference models in filtering.py (CascadeFilter), rect.py
+ * (RectState) and kdtree.py (descend) step for step.  The caller checks
+ * every coordinate against the geometry, and every column index against
+ * the row width, before calling.  The parse accepts only the canonical
+ * form and leaves all other text, and every error, to the line parser in
+ * events.py.
  *
  * Two more serve k-means (dictionary.py): the nearest centre per row of a
  * product block, and the per-cluster sums.  They repeat the numpy steps
@@ -23,6 +26,53 @@ static int gap_le(int64_t a, int64_t b, int64_t c)
     if (__builtin_sub_overflow(a, b, &d))
         return a < b;
     return d <= c;
+}
+
+#define DIGIT_MAX 18 /* so that every token fits in int64, and t <= 2^63 - 1 */
+
+/* Reads the `len` bytes of `buf` as canonical event CSV: nothing but
+ * `x,y,t,p` lines, each token 1 to 18 ASCII digits, each line ending in a
+ * newline but maybe the last, with x < n_cols, y < n_rows, p <= 1 and t
+ * never decreasing.  Writes at most `cap` events to the four columns and
+ * returns how many; returns -1 at the first byte that breaks the form or a
+ * rule, or at event `cap`. */
+int64_t evrect_parse_csv(int64_t len, const char *buf, int64_t n_rows, int64_t n_cols,
+                         int64_t cap, int64_t *xs, int64_t *ys, int64_t *ts, int64_t *ps)
+{
+    const unsigned char *c = (const unsigned char *)buf, *end = c + len;
+    int64_t n = 0, prev_t = 0;
+    while (c < end) {
+        int64_t v[4];
+        for (int f = 0; f < 4; f++) {
+            const unsigned char *start = c;
+            int64_t acc = 0;
+            while (c < end && c - start < DIGIT_MAX && (unsigned)(*c - '0') < 10)
+                acc = acc * 10 + (*c++ - '0');
+            if (c == start)
+                return -1;
+            v[f] = acc;
+            /* x, y and t end in a comma, p in a newline or the end of the
+             * text; a 19th digit is neither */
+            if (f < 3) {
+                if (c == end || *c != ',')
+                    return -1;
+                c++;
+            } else if (c < end) {
+                if (*c != '\n')
+                    return -1;
+                c++;
+            }
+        }
+        if (n == cap || v[0] >= n_cols || v[1] >= n_rows || v[2] < prev_t || v[3] > 1)
+            return -1;
+        xs[n] = v[0];
+        ys[n] = v[1];
+        ts[n] = v[2];
+        ps[n] = v[3];
+        prev_t = v[2];
+        n++;
+    }
+    return n;
 }
 
 /* Indices of the events the cascade keeps, written to `kept`; returns how

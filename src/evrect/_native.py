@@ -1,7 +1,7 @@
-"""C kernels loaded with ``ctypes`` (``_native.c``): the three per-event
-loops of the classify path (the noise cascade, the FIFO patch copy and the
-k-d tree descent) and two k-means steps (the nearest centre per row of a
-product block, and the per-cluster sums).
+"""C kernels loaded with ``ctypes`` (``_native.c``): the four per-event
+loops of the classify path (the event CSV parse, the noise cascade, the FIFO
+patch copy and the k-d tree descent) and two k-means steps (the nearest
+centre per row of a product block, and the per-cluster sums).
 
 The library is built with the local gcc on the first call that needs it,
 never at import, into ``__pycache__`` beside this file, named by the hash of
@@ -71,6 +71,9 @@ def load() -> ctypes.CDLL | None:
         lib = ctypes.CDLL(str(target))
     except (OSError, subprocess.SubprocessError):
         return None
+    lib.evrect_parse_csv.argtypes = [_i64, ctypes.c_char_p, _i64, _i64, _i64,
+                                     _ptr, _ptr, _ptr, _ptr]
+    lib.evrect_parse_csv.restype = _i64
     lib.evrect_cascade.argtypes = [_i64, _ptr, _ptr, _ptr, _i64, _i64, _i64, _i64, _ptr]
     lib.evrect_cascade.restype = _i64
     lib.evrect_patches.argtypes = [_i64, _ptr, _ptr, _i64, _i64, _i64, _i64, _i64, _i64,
@@ -87,6 +90,28 @@ def load() -> ctypes.CDLL | None:
 
 def _column(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def parse_csv(
+    raw: bytes, n_rows: int, n_cols: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The x, y, t and p columns of ``raw`` when it is canonical event CSV
+    (see ``evrect_parse_csv``) and every event lies inside the geometry;
+    None for any other text, and without the kernels.  The kernel reads
+    ``raw`` in place."""
+    lib = load()
+    if lib is None:
+        return None
+    # a canonical line ends in a newline, but for maybe the last; numpy
+    # counts the newlines several times faster than bytes.count
+    lines = np.count_nonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n")) + 1
+    columns = np.empty((4, lines), dtype=np.int64)
+    x, y, t, p = columns
+    n = lib.evrect_parse_csv(len(raw), raw, n_rows, n_cols, columns.shape[1],
+                             x.ctypes.data, y.ctypes.data, t.ctypes.data, p.ctypes.data)
+    if n < 0:
+        return None
+    return x[:n], y[:n], t[:n], p[:n]
 
 
 def cascade_kept(

@@ -13,6 +13,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import _native
 from .errors import DataError
 
 MAX_TIMESTAMP = (1 << 63) - 1
@@ -138,63 +139,44 @@ class EventStream:
         )
 
 
-def parse_csv(data: bytes | str, geometry: SensorGeometry) -> EventStream:
+def parse_csv(data: bytes | bytearray | memoryview | str, geometry: SensorGeometry) -> EventStream:
     """Parse header-less ``x,y,t,p`` lines, validating bounds and ordering.
 
     Errors carry 1-based line numbers.  Text in the canonical form (what
-    :func:`write_csv` writes) is parsed in one numpy call; anything else,
-    and any text that breaks a rule, goes through the line-by-line parser,
-    which gives the same arrays or raises the line's error.
+    :func:`write_csv` writes) is read in one pass of the C kernel
+    (``_native.parse_csv``).  Anything else, any text that breaks a rule,
+    and all text where the kernels cannot be built go through the
+    line-by-line parser: it is the reference, gives the same arrays, and
+    raises the first bad line's error.
     """
     # any character that is not ASCII makes the text non-canonical
     raw = data.encode("utf-8", "replace") if isinstance(data, str) else bytes(data)
-    stream = _parse_canonical(raw, geometry)
-    return stream if stream is not None else _parse_lines(data, geometry)
-
-
-_DIGIT_MAX = 18     # so every token parses exactly in int64, and t <= MAX_TIMESTAMP
-_FIELD_ENDS = np.frombuffer(b",,,\n", dtype=np.uint8)
-
-
-def _parse_canonical(data: bytes, geometry: SensorGeometry) -> EventStream | None:
-    """The stream, if ``data`` is canonical and valid: nothing but ``x,y,t,p``
-    lines of unsigned decimals of at most 18 digits, each line ending in a
-    newline but maybe the last.  None for any other text; never raises."""
-    if data and not data.endswith(b"\n"):
-        data = data + b"\n"
-    b = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
-    lengths = np.diff(ends, prepend=-1) - 1
-    if (
-        len(ends) % 4
-        or np.count_nonzero((b >= ord("0")) & (b <= ord("9"))) != len(b) - len(ends)
-        or (len(ends) and (lengths.min() < 1 or lengths.max() > _DIGIT_MAX))
-        or not (b[ends].reshape(-1, 4) == _FIELD_ENDS).all()
-    ):
-        return None
-    values = np.fromstring(data.replace(b"\n", b","), dtype=np.int64, sep=",")
-    if len(values) != len(ends):
-        return None
-    x, y, t, p = values.reshape(-1, 4).T
-    if len(t) and (
-        x.max() >= geometry.n_cols
-        or y.max() >= geometry.n_rows
-        or np.any(t[1:] < t[:-1])
-        or p.max() > 1
-    ):
-        return None
-    return EventStream(geometry, x, y, t, p, validate=False)
+    columns = _native.parse_csv(raw, geometry.n_rows, geometry.n_cols)
+    if columns is None:
+        return _parse_lines(data if isinstance(data, str) else raw, geometry)
+    return EventStream(geometry, *columns, validate=False)
 
 
 def _parse_lines(data: bytes | str, geometry: SensorGeometry) -> EventStream:
     """The reference parser, one line at a time; raises on the first bad line."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    bad_line = bad_byte = 0  # the line of the first byte that is not UTF-8, if any
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            text = data.decode("utf-8", "surrogateescape")
+            bad_line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+            bad_byte = data[exc.start]
+    else:
+        text = data
     xs: list[int] = []
     ys: list[int] = []
     ts: list[int] = []
     ps: list[int] = []
     prev_t = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if lineno == bad_line:
+            raise DataError(f"line {lineno}: byte 0x{bad_byte:02x} is not UTF-8 text")
         line = raw.strip()
         if not line:
             continue

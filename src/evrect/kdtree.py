@@ -22,6 +22,7 @@ up front, so no walk reads outside the tree or runs forever.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -395,6 +396,12 @@ def dump_rom(packed: PackedTree) -> str:
 
 
 def parse_rom(text: str, vmin: float = 0.0, vmax: float = 0.0) -> PackedTree:
+    """Read :func:`dump_rom`'s hex lines back, with the split-value range
+    ``[vmin, vmax]`` that the words alone do not hold.  DataError unless the
+    image is a tree that :func:`check_tree` accepts and the range is finite
+    and ordered, so that every walk of it ends at a leaf."""
+    if not (math.isfinite(vmin) and math.isfinite(vmax) and vmin <= vmax):
+        raise DataError(f"ROM split range [{vmin}, {vmax}] is not a finite, ordered range")
     words = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -411,4 +418,9 @@ def parse_rom(text: str, vmin: float = 0.0, vmax: float = 0.0) -> PackedTree:
         words.append(word)
     if not words:
         raise DataError("empty ROM image")
-    return PackedTree(words=np.asarray(words, dtype=np.uint64), vmin=vmin, vmax=vmax)
+    packed = PackedTree(words=np.asarray(words, dtype=np.uint64), vmin=vmin, vmax=vmax)
+    try:
+        check_tree(unpack(packed))
+    except DataError as exc:
+        raise DataError(f"ROM image: {exc}") from None
+    return packed

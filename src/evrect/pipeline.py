@@ -663,13 +663,23 @@ def load_bundle(data: bytes) -> TrainedPipeline:
 
     pca_model = None
     if "PCA_" in sections:
-        p = sections["PCA_"]
-        pca_model = PcaModel(
-            mean=p["mean"],
-            components=p["components"],
-            eigenvalues=p["eigenvalues"],
-            energy_kept=float(meta["pca_energy_kept"]),
-        )
+        try:
+            p = sections["PCA_"]
+            pca_model = PcaModel(
+                mean=p["mean"],
+                components=p["components"],
+                eigenvalues=p["eigenvalues"],
+                energy_kept=float(meta["pca_energy_kept"]),
+            )
+        except KeyError as exc:
+            raise DataError(f"bundle: missing component {exc.args[0]!r}") from None
+        # descriptors of d = patch_w**2 values project onto the tree's d' axes
+        d, d_tree = config.rect_cfg.dim, tree.dim
+        shapes = [a.shape for a in (pca_model.mean, pca_model.components, pca_model.eigenvalues)]
+        if shapes != [(d,), (d_tree, d), (d_tree,)]:
+            raise DataError(f"bundle: PCA mean, components and eigenvalues of shapes "
+                            f"{', '.join(map(str, shapes))} for {d}-value descriptors "
+                            f"and a tree over {d_tree} dimensions")
     # every walk must end inside the tree, so both trees are checked here,
     # before any descent reads them
     try:

@@ -81,6 +81,19 @@ def hw_bundle(cli_dir, float_bundle):
     return bundle
 
 
+@pytest.fixture(scope="module")
+def pca_bundle(cli_dir, float_bundle):
+    config = cli_dir / "pca.cfg"
+    config.write_text(TRAIN_CONFIG + "pca_mode = pca\n")
+    bundle = cli_dir / "pca.evrb"
+    code = run_cli(
+        "train", f"bar={cli_dir / 'bar.csv'}", f"ring={cli_dir / 'ring.csv'}",
+        "--config", str(config), "--output", str(bundle),
+    )
+    assert code == 0
+    return bundle
+
+
 def test_synth_same_seed_byte_identical(tmp_path):
     a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
     ta, tb = tmp_path / "a_truth.csv", tmp_path / "b_truth.csv"
@@ -125,6 +138,19 @@ def test_filter_round_trip(tmp_path, capsys):
     assert np.array_equal(got.t, expect.t)
     assert np.array_equal(got.x, expect.x)
     assert capsys.readouterr().out.strip() == f"kept {len(expect)} of {len(stream)} events"
+
+
+def test_non_utf8_csv_is_data_error(cli_dir, float_bundle, tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"1,2,3,0\n4,5,6,1\n7,8,9,\xff\n")
+    runs = {
+        "filter": ("filter", "--input", str(bad), "--output", str(tmp_path / "out.csv")),
+        "classify": ("classify", "--bundle", str(float_bundle), "--input", str(bad)),
+    }
+    for name, argv in runs.items():
+        assert run_cli(*argv) == 2, name
+        err = capsys.readouterr().err
+        assert err == "error: line 3: byte 0xff is not UTF-8 text\n", (name, err)
 
 
 def test_classify_outputs_are_reproducible(cli_dir, float_bundle):
@@ -207,6 +233,8 @@ def test_bench_reports_throughput(cli_dir, float_bundle, capsys):
     out = capsys.readouterr().out
     assert "throughput" in out
     assert "stage descend" in out
+    stages = [line.split()[1] for line in out.splitlines() if line.startswith("stage ")]
+    assert stages[0] == "parse"
 
 
 def _model_mutants(blob):
@@ -263,7 +291,29 @@ def _tree_mutants(blob):
     return out
 
 
-def test_malformed_bundle_is_data_error(float_bundle, hw_bundle, tmp_path, capsys):
+def _pca_mutants(blob):
+    """Edits to a `pca_mode = pca` bundle's PCA section whose shapes no
+    longer fit the descriptors or the tree; a short `components` ended in a
+    matmul traceback."""
+    from evrect.bundle import write_bundle
+
+    def edited(key, edit):
+        meta, sections = read_bundle(blob)
+        sections["PCA_"][key] = np.ascontiguousarray(edit(sections["PCA_"][key]))
+        return write_bundle(meta, sections)
+
+    meta, sections = read_bundle(blob)
+    del sections["PCA_"]["mean"]
+    return {
+        "components short one column": edited("components", lambda c: c[:, :-1]),
+        "components short one row": edited("components", lambda c: c[:-1]),
+        "mean short one value": edited("mean", lambda m: m[:-1]),
+        "eigenvalues short one value": edited("eigenvalues", lambda e: e[:-1]),
+        "no mean": write_bundle(meta, sections),
+    }
+
+
+def test_malformed_bundle_is_data_error(float_bundle, hw_bundle, pca_bundle, tmp_path, capsys):
     from evrect.bundle import write_bundle
 
     probe = tmp_path / "probe.csv"
@@ -286,6 +336,9 @@ def test_malformed_bundle_is_data_error(float_bundle, hw_bundle, tmp_path, capsy
     for name, (data, runs) in _model_mutants(hw_bundle.read_bytes()).items():
         mutants[name] = data
         commands[name] = runs
+    for name, data in _pca_mutants(pca_bundle.read_bytes()).items():
+        mutants[name] = data
+        commands[name] = [("classify",)]
     for name, data in mutants.items():
         bad = tmp_path / f"{name}.evrb"
         bad.write_bytes(data)

@@ -1,15 +1,17 @@
+from contextlib import contextmanager, nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evrect import _native
 from evrect.errors import DataError
 from evrect.events import (
     NMNIST_GEOMETRY,
     Event,
     EventStream,
     SensorGeometry,
-    _parse_canonical,
     _parse_lines,
     parse_csv,
     parse_nmnist_bin,
@@ -46,6 +48,8 @@ def test_parse_csv_malformed_line_number():
 def test_parse_csv_accepts_bytes_and_blank_lines():
     stream = parse_csv(b"1,2,3,0\n\n4,5,6,1\n", GEO)
     assert len(stream) == 2
+    for data in (bytearray(b"1,2,3,0\r\n"), memoryview(b"1,2,3,0\r\n")):
+        assert len(parse_csv(data, GEO)) == 1
 
 
 def test_parse_csv_bad_polarity():
@@ -183,6 +187,31 @@ def _outcome(parse, data):
     return "ok", [a.tolist() for a in (s.x, s.y, s.t, s.p)]
 
 
+@contextmanager
+def python_kernels():
+    """Run the block as on a host where the kernels cannot be built."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        yield
+
+
+def _both_paths_match_line_parser(data):
+    """``parse_csv`` gives the line parser's outcome, with the C kernel and
+    without the kernels."""
+    want = _outcome(_parse_lines, data)
+    assert _outcome(parse_csv, data) == want
+    with python_kernels():
+        assert _outcome(parse_csv, data) == want
+
+
+def _kernel(data: bytes):
+    """The C kernel's columns for ``data``, or None where it rejects it;
+    the test is skipped where the kernels cannot be built."""
+    if _native.load() is None:
+        pytest.skip("no C kernels here: the line parser is the only path")
+    return _native.parse_csv(data, GEO.n_rows, GEO.n_cols)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     events=st.lists(
@@ -202,17 +231,16 @@ def test_fast_parse_matches_line_parser(events, text_mutation, field_mutation, w
     if field_mutation != "none":
         lines[j] = _FIELD_MUTATIONS[field_mutation](lines[j].split(","), where % 4)
     text = _TEXT_MUTATIONS[text_mutation](lines, j)
-    data = text.encode("utf-8") if as_bytes else text
-    assert _outcome(parse_csv, data) == _outcome(_parse_lines, data)
+    _both_paths_match_line_parser(text.encode("utf-8") if as_bytes else text)
     if field_mutation == "none" and text_mutation in ("none", "no final newline"):
-        assert _parse_canonical(text.encode(), GEO) is not None
+        assert _kernel(text.encode()) is not None
 
 
 @pytest.mark.parametrize(
     "text",
     [
         "0,0,0,0\n239,179,5,1\n239,179,5,0",   # the largest pixel, tied timestamps
-        "1,2,3,0\n1,2," + "9" * 18 + ",1\n",  # the longest token read in one call
+        "1,2,3,0\n1,2," + "9" * 18 + ",1\n",  # the longest token the kernel reads
         "1,2,3,0\n1,2," + "9" * 19 + ",1\n",  # past int64, on the last line
         "1,2," + "9" * 19 + ",1",
         "1,2," + "0" * 19 + "7,1\n",            # a long token of small value
@@ -220,18 +248,88 @@ def test_fast_parse_matches_line_parser(events, text_mutation, field_mutation, w
         "0,180,0,0\n",
         "0,0,0,2\n",
         "0,0,5,0\n0,0,4,0\n",
+        "",
+        "\n",
+        "1,2,3,0\n1,2,3," + "1" * 18,           # 18 and 19 digits in the last token
+        "1,2,3,0\n1,2,3," + "1" * 19,
+        "1,2,3,0\n1,2,4," + "0" * 18,
+        "1,2,3,0\n1,2,4," + "0" * 19,
+        "1,2,3,0\x00",                          # NUL bytes
+        "1,2,3,0\n\x00",
+        "1,2,\x003,0\n",
     ],
 )
 def test_fast_parse_boundaries(text):
     for data in (text, text.encode()):
-        assert _outcome(parse_csv, data) == _outcome(_parse_lines, data)
+        _both_paths_match_line_parser(data)
+
+
+@pytest.mark.parametrize(
+    "text, events",
+    [
+        ("", 0),
+        ("0,0,0,0", 1),
+        ("0,0,0,0\n", 1),
+        ("1,2,3,0\n1,2,3," + "1" * 18, None),  # p past 1
+        ("1,2,3,0\n1,2," + "9" * 18 + ",1", 2),
+        ("1,2,3,0\n1,2," + "1" * 19 + ",1", None),
+        ("1,2," + "0" * 18 + ",1", 1),
+        ("1,2," + "0" * 19 + ",1", None),
+        ("\n", None),
+        ("0,0,0,0\n\n", None),
+        ("0,0,0,0\r\n", None),
+        ("0,0,0,0\r", None),
+        ("0,0,0,0\r1,1,1,1\n", None),
+        ("0,0,0,0\x00", None),
+        ("0,0,0,0\n\x00", None),
+        ("239,179,0,1", 1),
+        ("240,179,0,1", None),
+        ("239,180,0,1", None),
+    ],
+)
+def test_kernel_reads_only_the_canonical_form(text, events):
+    got = _kernel(text.encode())
+    assert (None if got is None else len(got[0])) == events
+
+
+_NEAR_CSV = "0123456789,\n\r-+ \x00\xff"
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=64),
+        st.text(alphabet=_NEAR_CSV, max_size=64),
+        st.text(alphabet=_NEAR_CSV, max_size=64).map(lambda t: t.encode("latin-1")),
+        st.lists(
+            st.lists(st.text(alphabet="0123456789", min_size=1, max_size=3), min_size=4, max_size=4)
+            .map(",".join),
+            max_size=6,
+        ).map("\n".join),
+    )
+)
+def test_parse_csv_fuzz_matches_line_parser(data):
+    _both_paths_match_line_parser(data)
 
 
 def test_fast_parse_reads_written_files(rng):
     n = 5_000
     ts = np.cumsum(rng.integers(0, 3, size=n))
     stream = EventStream(GEO, rng.integers(0, 240, n), rng.integers(0, 180, n), ts, rng.integers(0, 2, n))
-    fast = _parse_canonical(write_csv(stream).encode(), GEO)
+    fast = _kernel(write_csv(stream).encode())
     assert fast is not None
-    for a, b in zip((fast.x, fast.y, fast.t, fast.p), (stream.x, stream.y, stream.t, stream.p)):
-        assert a.dtype == np.int64 and np.array_equal(a, b)
+    for a, b in zip(fast, (stream.x, stream.y, stream.t, stream.p)):
+        assert a.dtype == np.int64 and a.flags.c_contiguous and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kernels", [nullcontext, python_kernels], ids=["native", "python"])
+def test_non_utf8_bytes_are_a_line_error(kernels):
+    with kernels():
+        with pytest.raises(DataError, match=r"^line 3: byte 0xff is not UTF-8 text$"):
+            parse_csv(b"1,2,3,0\n\n\xff,2,3,0\n", GEO)
+        # an earlier bad line is reported first
+        with pytest.raises(DataError, match=r"^line 1: expected 4"):
+            parse_csv(b"1,2\n\xfe", GEO)
+        # a character split by the end of the text
+        with pytest.raises(DataError, match=r"^line 2: byte 0xc3 is not UTF-8 text$"):
+            parse_csv(b"1,2,3,0\r\xc3", GEO)

@@ -6,6 +6,7 @@ import pytest
 from _oracles import quadratic_nn
 from evrect.errors import CapacityError, DataError
 from evrect.kdtree import (
+    PackedTree,
     build,
     descend,
     descend_batch,
@@ -258,6 +259,28 @@ def test_parse_rom_errors():
         parse_rom("fffffffffffff\n")
     with pytest.raises(DataError, match="empty"):
         parse_rom("")
+
+
+def test_parse_rom_rejects_images_that_are_not_trees(rng):
+    packed = pack(build(rng.standard_normal((9, 3))))
+    words = packed.words
+    inner = int(np.flatnonzero((words >> np.uint64(48)) == 0)[1])
+    leaves = np.flatnonzero(words >> np.uint64(48))
+    back_to_root = words.copy()
+    back_to_root[inner] &= ~np.uint64(0xFFF << 36)           # left child 0
+    past_the_end = words.copy()
+    past_the_end[0] |= np.uint64(0xFFF << 24)                # right child 4095
+    twin_leaf = words.copy()
+    twin_leaf[leaves[1]] = twin_leaf[leaves[0]]              # leaf id used twice
+    for bad, match in ((back_to_root, "later node"), (past_the_end, "later node"),
+                       (twin_leaf, "permutation")):
+        text = dump_rom(PackedTree(words=bad, vmin=packed.vmin, vmax=packed.vmax))
+        with pytest.raises(DataError, match=f"ROM image: .*{match}"):
+            parse_rom(text, vmin=packed.vmin, vmax=packed.vmax)
+    text = dump_rom(packed)
+    for vmin, vmax in ((1.0, 0.0), (float("nan"), 1.0), (0.0, float("inf"))):
+        with pytest.raises(DataError, match="finite, ordered"):
+            parse_rom(text, vmin=vmin, vmax=vmax)
 
 
 def test_descend_dimension_mismatch(rng):

@@ -2,11 +2,14 @@
  * refractory + 8-neighbour noise cascade, the FIFO count matrix read out as
  * one w x w patch per event, and the k-d tree descent.  The last three
  * follow the reference models in filtering.py (CascadeFilter), rect.py
- * (RectState) and kdtree.py (descend) step for step.  The caller checks
- * every coordinate against the geometry, and every column index against
- * the row width, before calling.  The parse accepts only the canonical
- * form and leaves all other text, and every error, to the line parser in
- * events.py.
+ * (RectState) and kdtree.py (descend) step for step.  The patch copy
+ * resumes where its last call stopped, so that a caller fills one reused
+ * block of rows at a time, and the descent divides a value by its row's
+ * norm as it reads it, so that no normalised copy is made.  The caller
+ * checks every coordinate against the geometry, and every column index
+ * against the row width, before calling.  The parse accepts only the
+ * canonical form and leaves all other text, and every error, to the line
+ * parser in events.py.
  *
  * Two more serve k-means (dictionary.py): the nearest centre per row of a
  * product block, and the per-cluster sums.  They repeat the numpy steps
@@ -124,49 +127,55 @@ int64_t evrect_cascade(int64_t n, const int64_t *xs, const int64_t *ys, const in
     return m;
 }
 
-/* Row i of `out` (n x w*w) is the w x w block of pooled sums centred on
- * event i's pooled cell, each divided by `area`, right after event i
- * entered a FIFO of capacity s (evicting event i - s).  Returns 0, or -1
- * when memory runs out. */
-int evrect_patches(int64_t n, const int64_t *xs, const int64_t *ys, int64_t s, int64_t p,
-                   int64_t q, int64_t w, int64_t rows_pooled, int64_t cols_pooled, double area,
-                   double *out)
+/* Rows i0 to i1 - 1 of the patches, written to the (i1 - i0) x w*w block
+ * `out`: row i is the w x w block of pooled sums centred on event i's
+ * pooled cell, each divided by `area`, right after event i entered a FIFO
+ * of capacity s (evicting event i - s).  `grid` is the pooled grid with a
+ * zero border of w / 2 cells, `stride` cells wide, owned by the caller: all
+ * zero before event 0, it carries the FIFO's counts from one call to the
+ * next, so a stream is filled in order, one block of rows at a time. */
+void evrect_patches(int64_t i0, int64_t i1, const int64_t *xs, const int64_t *ys, int64_t s,
+                    int64_t p, int64_t q, int64_t w, int64_t stride, double area,
+                    int64_t *grid, double *out)
 {
     int64_t h = w / 2;
-    int64_t stride = cols_pooled + 2 * h;
-    int64_t *grid = calloc((rows_pooled + 2 * h) * stride, sizeof *grid);
-    if (!grid)
-        return -1;
     /* the padded cell of (x, y) is (y / p + h, x / q + h); a patch starts h
      * cells up and left of it */
-    for (int64_t i = 0; i < n; i++) {
+    for (int64_t i = i0; i < i1; i++) {
         if (i >= s)
             grid[(ys[i - s] / p + h) * stride + xs[i - s] / q + h] -= 1;
         int64_t *corner = grid + (ys[i] / p) * stride + xs[i] / q;
         corner[h * stride + h] += 1;
-        double *row = out + i * w * w;
+        double *row = out + (i - i0) * w * w;
         for (int64_t a = 0; a < w; a++)
             for (int64_t b = 0; b < w; b++)
                 row[a * w + b] = (double)corner[a * stride + b] / area;
     }
-    free(grid);
-    return 0;
 }
 
 /* out[i] is the leaf index reached by row i of the n x width matrix `rows`
  * (C order), walking from the root: node j is a leaf when col[j] < 0, and
  * otherwise goes left when row[col[j]] <= split_val[j] (ties go left, NaN
- * goes right).  Every step must go to a later node that exists, so every
- * walk ends; returns 0, or -1 at the first step that does not. */
-int evrect_descend(int64_t n, const double *rows, int64_t width, int64_t n_nodes,
-                   const int64_t *col, const double *split_val, const int32_t *left,
-                   const int32_t *right, const int32_t *leaf_index, int64_t *out)
+ * goes right).  When `norm` is not NULL, a value of row i is first divided
+ * by norm[i] where norm[i] > 0, as numpy's divide does with that `where`:
+ * IEEE division is correctly rounded, so the walk compares the same bits
+ * while it divides only the values it reads.  Every step must go to a
+ * later node that exists, so every walk ends; returns 0, or -1 at the
+ * first step that does not. */
+int evrect_descend(int64_t n, const double *rows, int64_t width, const double *norm,
+                   int64_t n_nodes, const int64_t *col, const double *split_val,
+                   const int32_t *left, const int32_t *right, const int32_t *leaf_index,
+                   int64_t *out)
 {
     for (int64_t i = 0; i < n; i++) {
         const double *row = rows + i * width;
+        double d = norm ? norm[i] : 0.0;
         int64_t node = 0;
         while (col[node] >= 0) {
-            int64_t next = row[col[node]] <= split_val[node] ? left[node] : right[node];
+            double v = row[col[node]];
+            if (d > 0.0)
+                v /= d;
+            int64_t next = v <= split_val[node] ? left[node] : right[node];
             if (next <= node || next >= n_nodes)
                 return -1;
             node = next;

@@ -1,7 +1,8 @@
 """C kernels loaded with ``ctypes`` (``_native.c``): the four per-event
 loops of the classify path (the event CSV parse, the noise cascade, the FIFO
-patch copy and the k-d tree descent) and two k-means steps (the nearest
-centre per row of a product block, and the per-cluster sums).
+patch copy, resumed one block of rows at a time, and the k-d tree descent,
+which can divide each row by its norm as it reads it) and two k-means steps
+(the nearest centre per row of a product block, and the per-cluster sums).
 
 The library is built with the local gcc on the first call that needs it,
 never at import, into ``__pycache__`` beside this file, named by the hash of
@@ -76,10 +77,11 @@ def load() -> ctypes.CDLL | None:
     lib.evrect_parse_csv.restype = _i64
     lib.evrect_cascade.argtypes = [_i64, _ptr, _ptr, _ptr, _i64, _i64, _i64, _i64, _ptr]
     lib.evrect_cascade.restype = _i64
-    lib.evrect_patches.argtypes = [_i64, _ptr, _ptr, _i64, _i64, _i64, _i64, _i64, _i64,
-                                   ctypes.c_double, _ptr]
-    lib.evrect_patches.restype = ctypes.c_int
-    lib.evrect_descend.argtypes = [_i64, _ptr, _i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]
+    lib.evrect_patches.argtypes = [_i64, _i64, _ptr, _ptr, _i64, _i64, _i64, _i64, _i64,
+                                   ctypes.c_double, _ptr, _ptr]
+    lib.evrect_patches.restype = None
+    lib.evrect_descend.argtypes = [_i64, _ptr, _i64, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr,
+                                   _ptr]
     lib.evrect_descend.restype = ctypes.c_int
     lib.evrect_nearest.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr]
     lib.evrect_nearest.restype = None
@@ -132,50 +134,88 @@ def cascade_kept(
     return kept[:m]
 
 
-def patches(
+class PatchBlocks:
+    """Each event's w x w patch of pooled sums divided by the pool area,
+    filled in event order into the first rows of one reused ``rows`` x w²
+    buffer, a block at a time; the FIFO's pooled grid is kept from one block
+    to the next.  Coordinates must lie inside the geometry."""
+
+    def __init__(
+        self, lib: ctypes.CDLL, x: np.ndarray, y: np.ndarray, n_rows: int, n_cols: int,
+        s: int, p: int, q: int, w: int, rows: int,
+    ) -> None:
+        self._lib = lib
+        self._x, self._y = _column(x), _column(y)
+        n = len(self._x)
+        h = w // 2
+        self._stride = -(-n_cols // q) + 2 * h
+        # a capacity of at least n never evicts, and a pooling side of at
+        # least the sensor's puts every pixel in cell 0: clip both to what
+        # int64 holds
+        self._shape = (min(s, n), min(p, n_rows), min(q, n_cols), w)
+        self._area = float(p * q)
+        self._grid = np.zeros((-(-n_rows // p) + 2 * h) * self._stride, dtype=np.int64)
+        self.buffer = np.empty((rows, w * w), dtype=np.float64)
+        self.done = 0
+
+    def fill(self, stop: int) -> np.ndarray:
+        """The patches of events ``done`` to ``stop``, written to the first
+        rows of ``buffer``; returns a view of those rows."""
+        start = self.done
+        if not 0 <= stop - start <= len(self.buffer) or stop > len(self._x):
+            raise ValueError(f"cannot fill events {start} to {stop} into {len(self.buffer)} rows")
+        self._lib.evrect_patches(start, stop, self._x.ctypes.data, self._y.ctypes.data,
+                                 *self._shape, self._stride, self._area, self._grid.ctypes.data,
+                                 self.buffer.ctypes.data)
+        self.done = stop
+        return self.buffer[: stop - start]
+
+
+def patch_blocks(
     x: np.ndarray, y: np.ndarray, n_rows: int, n_cols: int, s: int, p: int, q: int, w: int,
-) -> np.ndarray | None:
-    """Each event's w x w patch of pooled sums divided by the pool area, one
-    row per event, or None without the kernels.  Coordinates must lie inside
-    the geometry."""
+    rows: int,
+) -> PatchBlocks | None:
+    """A :class:`PatchBlocks` over the events, or None without the kernels."""
     lib = load()
-    if lib is None:
-        return None
-    x, y = _column(x), _column(y)
-    n = len(x)
-    out = np.empty((n, w * w), dtype=np.float64)
-    # a capacity of at least n never evicts, and a pooling side of at least
-    # the sensor's puts every pixel in cell 0: clip both to what int64 holds
-    status = lib.evrect_patches(n, x.ctypes.data, y.ctypes.data, min(s, n), min(p, n_rows),
-                                min(q, n_cols), w, -(-n_rows // p), -(-n_cols // q),
-                                float(p * q), out.ctypes.data)
-    if status < 0:
-        raise MemoryError("count matrix: no memory for the pooled grid")
-    return out
+    return None if lib is None else PatchBlocks(lib, x, y, n_rows, n_cols, s, p, q, w, rows)
 
 
-def descend(
-    rows: np.ndarray, node_col: np.ndarray, split_val: np.ndarray, left: np.ndarray,
-    right: np.ndarray, leaf_index: np.ndarray,
-) -> np.ndarray | None:
-    """The leaf index each row of the 2-D matrix ``rows`` reaches, read in
-    place when it is C-order float64, or None without the kernels.  Node j
-    reads column ``node_col[j]``, or is a leaf where that is -1; columns must
-    lie inside the rows, and every node array must be as long as
-    ``node_col``.  DataError at a step to an earlier or missing node."""
+class Descent:
+    """The C walk of one tree, with its node arrays laid out once.  Node j
+    reads column ``node_col[j]``, or is a leaf where that is -1; every node
+    array must be as long as ``node_col``."""
+
+    def __init__(
+        self, lib: ctypes.CDLL, node_col: np.ndarray, split_val: np.ndarray, left: np.ndarray,
+        right: np.ndarray, leaf_index: np.ndarray,
+    ) -> None:
+        self._lib = lib
+        self._nodes = (np.ascontiguousarray(node_col, dtype=np.int64),
+                       np.ascontiguousarray(split_val, dtype=np.float64),
+                       *(np.ascontiguousarray(a, dtype=np.int32) for a in (left, right, leaf_index)))
+        self._pointers = [a.ctypes.data for a in self._nodes]
+
+    def leaves(self, rows: np.ndarray, norm: np.ndarray | None = None) -> np.ndarray:
+        """The leaf index each row of the C-order float64 matrix ``rows``
+        reaches, read in place; columns must lie inside the rows.  With
+        ``norm``, one C-order float64 value per row, a row's values are read
+        divided by its norm where that is > 0.  DataError at a step to an
+        earlier or missing node."""
+        out = np.empty(len(rows), dtype=np.int64)
+        if self._lib.evrect_descend(len(rows), rows.ctypes.data, rows.shape[1],
+                                    None if norm is None else norm.ctypes.data,
+                                    len(self._nodes[0]), *self._pointers, out.ctypes.data) < 0:
+            raise DataError(BAD_STEP)
+        return out
+
+
+def descent(
+    node_col: np.ndarray, split_val: np.ndarray, left: np.ndarray, right: np.ndarray,
+    leaf_index: np.ndarray,
+) -> Descent | None:
+    """A :class:`Descent` of the tree, or None without the kernels."""
     lib = load()
-    if lib is None:
-        return None
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    col = np.ascontiguousarray(node_col, dtype=np.int64)
-    val = np.ascontiguousarray(split_val, dtype=np.float64)
-    lo, hi, leaf = (np.ascontiguousarray(a, dtype=np.int32) for a in (left, right, leaf_index))
-    out = np.empty(len(rows), dtype=np.int64)
-    if lib.evrect_descend(len(rows), rows.ctypes.data, rows.shape[1], len(col), col.ctypes.data,
-                          val.ctypes.data, lo.ctypes.data, hi.ctypes.data, leaf.ctypes.data,
-                          out.ctypes.data) < 0:
-        raise DataError(BAD_STEP)
-    return out
+    return None if lib is None else Descent(lib, node_col, split_val, left, right, leaf_index)
 
 
 def nearest(

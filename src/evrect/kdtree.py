@@ -15,9 +15,11 @@ reference models.  :func:`descend_batch` walks a whole matrix of queries
 in the C loop of ``_native`` (a per-level numpy loop where it cannot be
 built), reading the matrix in place through a column map, so that a tree
 over a virtual projection descends the full descriptor matrix without a
-copy of the kept columns.  Both batch paths raise DataError at a step that
-does not go to a later node, and :func:`check_tree` rejects such a tree
-up front, so no walk reads outside the tree or runs forever.
+copy of the kept columns; :func:`batch_descent` prepares that walk once
+for a caller that descends one block of rows at a time.  Both batch paths
+raise DataError at a step that does not go to a later node, and
+:func:`check_tree` rejects such a tree up front, so no walk reads outside
+the tree or runs forever.
 """
 
 from __future__ import annotations
@@ -157,43 +159,69 @@ def descend_path(tree: KdTree, query: np.ndarray) -> list[int]:
     return path
 
 
-def descend_batch(tree: KdTree, queries: np.ndarray, columns=None) -> np.ndarray:
+def descend_batch(tree: KdTree, queries: np.ndarray, columns=None, norm=None) -> np.ndarray:
     """The leaf :func:`descend` gives for each row of ``queries``.
 
     Tree dimension j reads column ``columns[j]`` of the matrix, or column j
     when ``columns`` is None, so a tree over a virtual projection descends
-    the full descriptor matrix in place.
+    the full descriptor matrix in place.  With ``norm``, one value per row,
+    each row descends as if divided by its norm where that is > 0 (numpy's
+    ``divide`` with that ``where``), without a divided copy.
     """
     q = np.ascontiguousarray(queries, dtype=np.float64)
+    if q.ndim != 2:
+        raise DataError("queries must be 2-D")
+    return batch_descent(tree, q.shape[1], columns)(q, norm)
+
+
+def batch_descent(tree: KdTree, width: int, columns=None):
+    """:func:`descend_batch` over matrices ``width`` columns wide, with the
+    tree's node arrays checked and laid out once: returns a function of
+    ``(queries, norm=None)``, for a caller that descends many blocks."""
     if columns is None:
-        if q.ndim != 2 or q.shape[1] != tree.dim:
+        if width != tree.dim:
             raise DataError(f"queries must be 2-D with {tree.dim} columns")
         cols = np.arange(tree.dim, dtype=np.int64)
     else:
         cols = np.asarray(columns, dtype=np.int64)
-        if q.ndim != 2 or cols.shape != (tree.dim,):
+        if cols.shape != (tree.dim,):
             raise DataError(f"queries must be 2-D and columns must map all {tree.dim} tree dimensions")
-        if cols.size and (cols.min() < 0 or cols.max() >= q.shape[1]):
-            raise DataError(f"a column index lies outside the {q.shape[1]} query columns")
+        if cols.size and (cols.min() < 0 or cols.max() >= width):
+            raise DataError(f"a column index lies outside the {width} query columns")
     internal = _internal_nodes(tree)
     n = tree.n_nodes
     # the column each node reads, -1 at a leaf
     node_col = np.full(n, -1, dtype=np.int64)
     node_col[internal] = cols[tree.split_dim[internal]]
-    leaves = _native.descend(q, node_col, tree.split_val, tree.left, tree.right, tree.leaf_index)
-    if leaves is not None:
-        return leaves
-    cur = np.zeros(len(q), dtype=np.int64)
-    active = np.arange(len(q)) if node_col[0] >= 0 else np.arange(0)
-    while active.size:
-        idx = cur[active]
-        go_left = q[active, node_col[idx]] <= tree.split_val[idx]
-        nxt = np.where(go_left, tree.left[idx], tree.right[idx])
-        if ((nxt <= idx) | (nxt >= n)).any():
-            raise DataError(_native.BAD_STEP)
-        cur[active] = nxt
-        active = active[node_col[nxt] >= 0]
-    return tree.leaf_index[cur].astype(np.int64)
+    native = _native.descent(node_col, tree.split_val, tree.left, tree.right, tree.leaf_index)
+
+    def walk(queries: np.ndarray, norm=None) -> np.ndarray:
+        q = np.ascontiguousarray(queries, dtype=np.float64)
+        if q.ndim != 2 or q.shape[1] != width:
+            raise DataError(f"queries must be 2-D with {width} columns")
+        if norm is not None:
+            norm = np.ascontiguousarray(norm, dtype=np.float64)
+            if norm.shape != (len(q),):
+                raise DataError(f"norms must be one per query row, not of shape {norm.shape}")
+        if native is not None:
+            return native.leaves(q, norm)
+        cur = np.zeros(len(q), dtype=np.int64)
+        active = np.arange(len(q)) if node_col[0] >= 0 else np.arange(0)
+        while active.size:
+            idx = cur[active]
+            vals = q[active, node_col[idx]]
+            if norm is not None:
+                d = norm[active]
+                np.divide(vals, d, out=vals, where=d > 0.0)
+            go_left = vals <= tree.split_val[idx]
+            nxt = np.where(go_left, tree.left[idx], tree.right[idx])
+            if ((nxt <= idx) | (nxt >= n)).any():
+                raise DataError(_native.BAD_STEP)
+            cur[active] = nxt
+            active = active[node_col[nxt] >= 0]
+        return tree.leaf_index[cur].astype(np.int64)
+
+    return walk
 
 
 def _internal_nodes(tree: KdTree) -> np.ndarray:

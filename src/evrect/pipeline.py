@@ -38,6 +38,7 @@ from .kdtree import (
     KdTree,
     PackedTree,
     VirtualProjection,
+    batch_descent,
     build,
     check_tree,
     descend_batch,
@@ -160,29 +161,122 @@ def _resolve_profile(tp: TrainedPipeline, profile: str | None) -> str:
     return prof
 
 
+# rows per block of the blocked describe -> normalise -> project -> descend
+# path (1.3 MB at w = 9)
+_BLOCK_ROWS = 2048
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # np.vecdot gives each row's ``v @ v`` bit for bit, as RectState does
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def _normalize(rows: np.ndarray, norm: np.ndarray) -> None:
+    """Divide each row by its norm, in place, where that is > 0."""
+    np.divide(rows, norm[:, None], out=rows, where=norm[:, None] > 0.0)
+
+
 def extract_stream_descriptors(
     geometry: SensorGeometry, rect_cfg: RectConfig, filtered: EventStream
 ) -> tuple[np.ndarray, str]:
     """One descriptor per filtered event, read from the count matrix right
     after the event entered the FIFO, and which kernels computed them:
-    ``"native"`` (the C patch copy, then the pool-area division and the
-    normalization in numpy) or ``"python"`` (a :class:`RectState` replay).
-    Both give the same bits."""
+    ``"native"`` (the C patch copy, then the normalization in numpy) or
+    ``"python"`` (a :class:`RectState` replay).  Both give the same bits.
+    Training, classify and detect describe a block of rows at a time
+    instead (:func:`_descriptor_blocks`); this whole matrix serves the
+    N-MNIST benchmark, checks and tests."""
     filtered.check_coordinates(geometry)
-    out = _native.patches(filtered.x, filtered.y, geometry.n_rows, geometry.n_cols,
-                          rect_cfg.s, rect_cfg.p, rect_cfg.q, rect_cfg.w)
-    if out is None:
+    n = len(filtered)
+    blocks = _native.patch_blocks(filtered.x, filtered.y, geometry.n_rows, geometry.n_cols,
+                                  rect_cfg.s, rect_cfg.p, rect_cfg.q, rect_cfg.w, n)
+    if blocks is None:
         state = RectState(geometry, rect_cfg)
-        out = np.empty((len(filtered), rect_cfg.dim), dtype=np.float64)
+        out = np.empty((n, rect_cfg.dim), dtype=np.float64)
         for i, (x, y) in enumerate(zip(filtered.x.tolist(), filtered.y.tolist())):
             state.push(x, y)
             out[i] = state.extract_values(x, y)
         return out, "python"
+    out = blocks.fill(n)
     if rect_cfg.normalize:
-        # np.vecdot gives each row's ``v @ v`` bit for bit, as RectState does
-        norm = np.sqrt(np.vecdot(out, out))[:, None]
-        np.divide(out, norm, out=out, where=norm > 0.0)
+        _normalize(out, _row_norms(out))
     return out, "native"
+
+
+def _descriptor_blocks(
+    geometry: SensorGeometry, rect_cfg: RectConfig, filtered: EventStream, clock=nullcontext
+):
+    """Each filtered event's descriptor, a block of rows at a time, through
+    one reused buffer: yields ``(start, stop, rows, norm)``, where the first
+    ``stop - start`` rows of ``rows`` belong to events ``start`` to ``stop``
+    and the rest hold earlier events.  ``norm`` holds those rows' norms when
+    they are still to be divided by them, and is None when the rows are
+    final.  Without the kernels, the whole :func:`extract_stream_descriptors`
+    matrix is one block.  Filling a block and its norms runs inside
+    ``clock("describe")``."""
+    n = len(filtered)
+    filtered.check_coordinates(geometry)
+    blocks = _native.patch_blocks(filtered.x, filtered.y, geometry.n_rows, geometry.n_cols,
+                                  rect_cfg.s, rect_cfg.p, rect_cfg.q, rect_cfg.w,
+                                  max(1, min(n, _BLOCK_ROWS)))
+    if blocks is None:
+        with clock("describe"):
+            desc, _ = extract_stream_descriptors(geometry, rect_cfg, filtered)
+        yield 0, n, desc, None
+        return
+    for start in range(0, n, len(blocks.buffer)):
+        stop = min(n, start + len(blocks.buffer))
+        with clock("describe"):
+            block = blocks.fill(stop)
+            norm = _row_norms(block) if rect_cfg.normalize else None
+        yield start, stop, blocks.buffer, norm
+
+
+def _stream_leaves(
+    geometry: SensorGeometry, rect_cfg: RectConfig, tree: KdTree, pca_model: PcaModel | None,
+    vproj: VirtualProjection | None, filtered: EventStream, clock=nullcontext,
+) -> np.ndarray:
+    """The leaf each filtered event reaches, a block of rows at a time.  A
+    row is normalised by the descent as it reads it; PCA divides the block
+    and projects it first; a virtual projection only names the columns the
+    tree reads, in place.  Each stage runs inside ``clock(stage)``."""
+    leaves = np.empty(len(filtered), dtype=np.int64)
+    columns = None if vproj is None else vproj.kept_dims
+    walk = batch_descent(tree, tree.dim if pca_model is not None else rect_cfg.dim, columns)
+    for start, stop, rows, norm in _descriptor_blocks(geometry, rect_cfg, filtered, clock):
+        queries = rows[: stop - start]
+        with clock("project"):
+            if pca_model is not None:
+                if norm is not None:
+                    _normalize(queries, norm)
+                    norm = None
+                # every block is projected with all its rows, so that each
+                # product has the row count of the first: BLAS sums a few
+                # rows in another order than many.  (For one component,
+                # OpenBLAS's matrix-vector path also sums the last n mod 4
+                # rows of a whole matrix in another order.)
+                queries = pca_mod.project(pca_model, rows)[: stop - start]
+        with clock("descend"):
+            leaves[start:stop] = walk(queries, norm)
+    return leaves
+
+
+def _sample_rows(
+    geometry: SensorGeometry, rect_cfg: RectConfig, filtered: EventStream, rows: np.ndarray
+) -> np.ndarray:
+    """The descriptors of the filtered events at ``rows`` (ascending),
+    collected from the blocks that hold them; no block past the last row is
+    described."""
+    out = np.empty((len(rows), rect_cfg.dim), dtype=np.float64)
+    for start, stop, block, norm in _descriptor_blocks(geometry, rect_cfg, filtered):
+        lo, hi = np.searchsorted(rows, (start, stop))
+        at = rows[lo:hi] - start
+        out[lo:hi] = block[at]
+        if norm is not None:
+            _normalize(out[lo:hi], norm[at])
+        if hi == len(rows):
+            break
+    return out
 
 
 def fifo_snapshot(
@@ -240,12 +334,11 @@ def train_pipeline(
         for i, (_, stream) in enumerate(filtered):
             if len(stream) == 0:
                 continue
-            desc, _ = extract_stream_descriptors(config.geometry, config.rect_cfg, stream)
             quota = quota_base + (1 if i < quota_extra else 0)
-            take = min(quota, len(desc))
+            take = min(quota, len(stream))
             if take:
-                rows = rng.choice(len(desc), size=take, replace=False)
-                sampled.append(desc[np.sort(rows)])
+                rows = np.sort(rng.choice(len(stream), size=take, replace=False))
+                sampled.append(_sample_rows(config.geometry, config.rect_cfg, stream, rows))
     if not sampled:
         raise DataError("descriptor sampling: sample cap too small to draw anything")
     samples = np.concatenate(sampled, axis=0)
@@ -306,8 +399,7 @@ def train_pipeline(
         for label, stream in filtered:
             if len(stream) == 0:
                 continue
-            desc, _ = extract_stream_descriptors(config.geometry, config.rect_cfg, stream)
-            leaves = _descriptor_leaves(tree, pca_model, vproj, desc)
+            leaves = _stream_leaves(config.geometry, config.rect_cfg, tree, pca_model, vproj, stream)
             per_class_counts[label] += np.bincount(leaves, minlength=tree.n_points)
             for h in windows_from_leaves(leaves, tree.n_points, config.s_window):
                 hists.append(h.counts)
@@ -400,22 +492,6 @@ class _StageClock:
         self.ns[stage] += time.perf_counter_ns() - start
 
 
-def _descriptor_leaves(
-    tree: KdTree, pca_model: PcaModel | None, vproj: VirtualProjection | None,
-    desc: np.ndarray, clock=nullcontext,
-) -> np.ndarray:
-    """The leaf each descriptor reaches: PCA projects first; a virtual
-    projection only names the columns the tree reads, in place."""
-    with clock("project"):
-        queries, columns = desc, None
-        if pca_model is not None:
-            queries = pca_mod.project(pca_model, desc)
-        elif vproj is not None:
-            columns = vproj.kept_dims
-    with clock("descend"):
-        return descend_batch(tree, queries, columns)
-
-
 def _leaves(
     tp: TrainedPipeline, stream: EventStream, prof: str, clock
 ) -> tuple[EventStream, np.ndarray | None]:
@@ -427,9 +503,8 @@ def _leaves(
         filtered = cascade(stream, cfg.filter_cfg)
     if len(filtered) == 0:
         return filtered, None
-    with clock("describe"):
-        desc, _ = extract_stream_descriptors(cfg.geometry, cfg.rect_cfg, filtered)
-    leaves = _descriptor_leaves(tp.profile_tree(prof), tp.pca_model, tp.vproj, desc, clock)
+    leaves = _stream_leaves(cfg.geometry, cfg.rect_cfg, tp.profile_tree(prof), tp.pca_model,
+                            tp.vproj, filtered, clock)
     return filtered, leaves
 
 
@@ -590,6 +665,21 @@ def save_bundle(tp: TrainedPipeline) -> bytes:
     return bundle_mod.write_bundle(meta, sections)
 
 
+def _meta_value(meta: dict, key: str, convert):
+    """``convert(meta[key])``; a value of the wrong JSON type is a DataError
+    that names the key."""
+    value = meta[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"META {key!r} is {value!r}: {exc}") from None
+
+
+def _value_range(value) -> tuple[float, float]:
+    vmin, vmax = value
+    return float(vmin), float(vmax)
+
+
 def load_bundle(data: bytes) -> TrainedPipeline:
     meta, sections = bundle_mod.read_bundle(data)
     if meta.get("kind") != "evrect-pipeline":
@@ -620,9 +710,12 @@ def load_bundle(data: bytes) -> TrainedPipeline:
         )
     except KeyError as exc:
         raise DataError(f"bundle: config is missing {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        # a value of the wrong JSON type, or out of range (DataError)
+        raise DataError(f"bundle: config: {exc}") from None
 
     try:
-        class_names = tuple(meta["class_names"])
+        class_names = _meta_value(meta, "class_names", tuple)
         centroids = sections["DICT"]["centroids"]
         t = sections["TREE"]
         tree = KdTree(
@@ -633,7 +726,7 @@ def load_bundle(data: bytes) -> TrainedPipeline:
             right=t["right"].astype(np.int32),
             leaf_index=t["leaf_index"].astype(np.int32),
             points=None,
-            dim=int(meta["tree_dim"]),
+            dim=_meta_value(meta, "tree_dim", int),
             n_points=len(centroids),
         )
         svm = SvmModel(
@@ -644,6 +737,8 @@ def load_bundle(data: bytes) -> TrainedPipeline:
         landmark_rows = sections["LAND"]["landmarks"]
     except KeyError as exc:
         raise DataError(f"bundle: missing component {exc.args[0]!r}") from None
+    except DataError as exc:
+        raise DataError(f"bundle: {exc}") from None
     n_classes, k = len(class_names), len(centroids)
     n_landmarks = min(config.n_landmarks, k)
     if svm.weights.shape != (n_classes, k):
@@ -669,10 +764,12 @@ def load_bundle(data: bytes) -> TrainedPipeline:
                 mean=p["mean"],
                 components=p["components"],
                 eigenvalues=p["eigenvalues"],
-                energy_kept=float(meta["pca_energy_kept"]),
+                energy_kept=_meta_value(meta, "pca_energy_kept", float),
             )
         except KeyError as exc:
             raise DataError(f"bundle: missing component {exc.args[0]!r}") from None
+        except DataError as exc:
+            raise DataError(f"bundle: {exc}") from None
         # descriptors of d = patch_w**2 values project onto the tree's d' axes
         d, d_tree = config.rect_cfg.dim, tree.dim
         shapes = [a.shape for a in (pca_model.mean, pca_model.components, pca_model.eigenvalues)]
@@ -687,15 +784,15 @@ def load_bundle(data: bytes) -> TrainedPipeline:
         vproj = None
         if meta.get("kept_dims") is not None:
             vproj = VirtualProjection(
-                kept_dims=tuple(int(d) for d in meta["kept_dims"]),
-                source_dim=int(meta["source_dim"]),
+                kept_dims=_meta_value(meta, "kept_dims", lambda v: tuple(int(d) for d in v)),
+                source_dim=_meta_value(meta, "source_dim", int),
             )
             if len(vproj.kept_dims) != tree.dim:
                 raise DataError(f"{len(vproj.kept_dims)} kept dimensions for a tree over {tree.dim}")
         packed = qtree = None
         if "PACK" in sections:
-            vmin, vmax = meta["packed_range"]
-            packed = PackedTree(words=sections["PACK"]["words"], vmin=float(vmin), vmax=float(vmax))
+            vmin, vmax = _meta_value(meta, "packed_range", _value_range)
+            packed = PackedTree(words=sections["PACK"]["words"], vmin=vmin, vmax=vmax)
             qtree = unpack(packed, tree.dim)
             check_tree(qtree)
             if qtree.n_points != tree.n_points:

@@ -313,6 +313,25 @@ def _pca_mutants(blob):
     }
 
 
+def _meta_mutants(float_blob, hw_blob, pca_blob):
+    """META values of the wrong JSON type, each of which ended in a
+    traceback with exit 1."""
+    from evrect.bundle import write_bundle
+
+    def edited(blob, edit):
+        meta, sections = read_bundle(blob)
+        edit(meta)
+        return write_bundle(meta, sections)
+
+    return {
+        "pca_energy_kept null": edited(pca_blob, lambda m: m.update(pca_energy_kept=None)),
+        "tree_dim x": edited(float_blob, lambda m: m.update(tree_dim="x")),
+        "fifo_capacity x": edited(float_blob, lambda m: m["config"].update(fifo_capacity="x")),
+        "kept_dims a": edited(float_blob, lambda m: m.update(kept_dims=["a"])),
+        "3-item packed_range": edited(hw_blob, lambda m: m.update(packed_range=[0.0, 0.5, 1.0])),
+    }
+
+
 def test_malformed_bundle_is_data_error(float_bundle, hw_bundle, pca_bundle, tmp_path, capsys):
     from evrect.bundle import write_bundle
 
@@ -337,6 +356,9 @@ def test_malformed_bundle_is_data_error(float_bundle, hw_bundle, pca_bundle, tmp
         mutants[name] = data
         commands[name] = runs
     for name, data in _pca_mutants(pca_bundle.read_bytes()).items():
+        mutants[name] = data
+        commands[name] = [("classify",)]
+    for name, data in _meta_mutants(blob, hw_bundle.read_bytes(), pca_bundle.read_bytes()).items():
         mutants[name] = data
         commands[name] = [("classify",)]
     for name, data in mutants.items():

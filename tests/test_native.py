@@ -216,8 +216,12 @@ def descent_cases(draw):
     source_dim = d + draw(st.integers(0, 5))
     kept = np.sort(rng.choice(source_dim, size=d, replace=False))
     full = rng.standard_normal((n, source_dim))
+    # per-row divisors, some zero (never divided), one for an all-zero row
+    norm = np.where(rng.random(n) < 0.3, 0.0, rng.choice([0.5, 1.0, 3.0, 7.25], size=n))
+    if n:
+        full[0] = queries[0] = norm[0] = 0.0
     full[:, kept] = queries
-    return tree, queries, VirtualProjection(tuple(int(c) for c in kept), source_dim), full
+    return tree, queries, VirtualProjection(tuple(int(c) for c in kept), source_dim), full, norm
 
 
 def _both_paths(fn):
@@ -229,7 +233,7 @@ def _both_paths(fn):
 @settings(max_examples=300, deadline=None)
 @given(descent_cases())
 def test_descent_native_equals_fallback_and_per_event(case):
-    tree, queries, vproj, full = case
+    tree, queries, vproj, full, norm = case
     want = np.asarray([descend(tree, q) for q in queries], dtype=np.int64)
     for got in _both_paths(lambda: descend_batch(tree, queries)):
         assert got.dtype == np.int64 and np.array_equal(got, want)
@@ -242,6 +246,12 @@ def test_descent_native_equals_fallback_and_per_event(case):
     assert np.array_equal(want_q, [descend(qtree, q) for q in queries])
     for got in _both_paths(lambda: descend_batch(qtree, full, vproj.kept_dims)):
         assert np.array_equal(got, want_q)
+    # a divisor per row gives the leaves of numpy's divided matrix
+    divided = full.copy()
+    np.divide(divided, norm[:, None], out=divided, where=norm[:, None] > 0.0)
+    want_div = [descend(tree, row) for row in vproj.restrict(divided)]
+    for got in _both_paths(lambda: descend_batch(tree, full, vproj.kept_dims, norm)):
+        assert np.array_equal(got, np.asarray(want_div, dtype=np.int64))
 
 
 def _hand_tree(left, right):

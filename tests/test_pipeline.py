@@ -1,16 +1,18 @@
 """End-to-end tests for training, classification, detection, and bundling."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from evrect import _native
+from evrect import pipeline as pipeline_mod
 from evrect.detector import DetectorModel, HeatMapTracker, evaluate, heat_update
 from evrect.errors import DataError
 from evrect.events import EventStream
 from evrect.filtering import cascade
-from evrect.kdtree import quantized_descend
+from evrect.kdtree import descend_batch, quantized_descend
 from evrect.pipeline import (
     DetectWindow,
     PipelineConfig,
@@ -470,3 +472,121 @@ def test_bench_hardware_profile(tp_hw, test_stream):
     report = run_bench(tp_hw, test_stream)
     assert report.n_events == len(test_stream)
     _check_stage_times(report, tp_hw, test_stream)
+
+
+# ---- the blocked describe -> normalise -> project -> descend path
+
+BLOCK = pipeline_mod._BLOCK_ROWS
+LENGTHS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
+
+
+@pytest.fixture(scope="module")
+def block_models(train_streams, tp_vpca, tp_pca, tp_hw):
+    """Trained pipelines over every pca mode, with the profiles each can
+    descend: a packed tree also descends quantized."""
+    streams = list(train_streams.items())
+    models = {
+        "vpca": tp_vpca,
+        "pca": tp_pca,
+        "none": train_pipeline(small_config(pca_mode="none"), streams),
+        "vpca-hardware": tp_hw,
+        "pca-hardware": train_pipeline(small_config(pca_mode="pca", pca_dims=6, profile="hardware"),
+                                       streams),
+    }
+    return {name: (tp, ["float", "hardware"] if tp.packed is not None else ["float"])
+            for name, tp in models.items()}
+
+
+def _random_events(geometry, n, seed=7):
+    """n events on random pixels: the blocked path takes any stream whose
+    coordinates fit, filtered or not."""
+    rng = np.random.default_rng(seed)
+    return EventStream(geometry, rng.integers(0, geometry.n_cols, n),
+                       rng.integers(0, geometry.n_rows, n), np.arange(n), np.zeros(n))
+
+
+def _prefix(stream, n):
+    return EventStream(stream.geometry, stream.x[:n], stream.y[:n], stream.t[:n], stream.p[:n])
+
+
+def _whole_matrix_leaves(tp, rect_cfg, stream, profile):
+    desc, _ = extract_stream_descriptors(tp.config.geometry, rect_cfg, stream)
+    return descend_batch(tp.profile_tree(profile), tp.project_features(desc))
+
+
+def _blocked_leaves(tp, rect_cfg, stream, profile):
+    return pipeline_mod._stream_leaves(tp.config.geometry, rect_cfg, tp.profile_tree(profile),
+                                       tp.pca_model, tp.vproj, stream)
+
+
+@pytest.mark.parametrize("model", ["vpca", "pca", "none", "vpca-hardware", "pca-hardware"])
+def test_blocked_leaves_equal_whole_matrix_descent(block_models, model):
+    tp, profiles = block_models[model]
+    events = _random_events(tp.config.geometry, LENGTHS[-1])
+    for s in (1, BLOCK // 3, 2 * BLOCK + 5):
+        for normalize in (True, False):
+            rect_cfg = dataclasses.replace(tp.config.rect_cfg, s=s, normalize=normalize)
+            for n in LENGTHS:
+                stream = _prefix(events, n)
+                for profile in profiles:
+                    got = _blocked_leaves(tp, rect_cfg, stream, profile)
+                    want = _whole_matrix_leaves(tp, rect_cfg, stream, profile)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, want), (s, normalize, n, profile)
+    # without the kernels the whole matrix is one block
+    rect_cfg = dataclasses.replace(tp.config.rect_cfg, s=BLOCK // 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        fallback = {p: _blocked_leaves(tp, rect_cfg, events, p) for p in profiles}
+    for profile in profiles:
+        assert np.array_equal(fallback[profile], _whole_matrix_leaves(tp, rect_cfg, events, profile))
+
+
+def test_sampled_rows_equal_whole_matrix_rows(small_geometry):
+    events = _random_events(small_geometry, LENGTHS[-1])
+    rng = np.random.default_rng(3)
+    for s in (1, BLOCK // 3, 2 * BLOCK + 5):
+        for normalize in (True, False):
+            rect_cfg = RectConfig(s=s, p=2, q=3, w=5, normalize=normalize)
+            desc, _ = extract_stream_descriptors(small_geometry, rect_cfg, events)
+            for n in LENGTHS[1:]:
+                stream = _prefix(events, n)
+                picks = [[0], [n - 1], np.arange(n),
+                         np.sort(rng.choice(n, size=min(n, 50), replace=False))]
+                if n > BLOCK:
+                    picks.append([BLOCK - 1, BLOCK])
+                for rows in picks:
+                    rows = np.asarray(rows, dtype=np.int64)
+                    got = pipeline_mod._sample_rows(small_geometry, rect_cfg, stream, rows)
+                    assert got.tobytes() == desc[rows].tobytes(), (s, normalize, n, rows[:3])
+    rows = np.array([0, BLOCK - 1, BLOCK, 3 * BLOCK + 6])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        fallback = pipeline_mod._sample_rows(small_geometry, rect_cfg, events, rows)
+    assert fallback.tobytes() == desc[rows].tobytes()
+
+
+def test_classify_memory_does_not_grow_by_a_descriptor_matrix(train_streams):
+    """The peak that run_classify traces grows with the stream by far less
+    than the n x w² float64 matrix the blocked path no longer holds."""
+    w = 9
+    tp = train_pipeline(small_config(rect_cfg=RectConfig(s=400, p=3, q=3, w=w)),
+                        list(train_streams.items()))
+    spec = dict(shape="ring", vx=0.0, vy=15.0, noise_rate=2000.0)
+    short = synth_scene(SceneSpec(duration_us=300_000, **spec), seed=5)[0]
+    long = synth_scene(SceneSpec(duration_us=1_200_000, **spec), seed=5)[0]
+    run_classify(tp, short)  # the kernels are built or loaded once per process
+
+    def peak(stream):
+        tracemalloc.start()
+        try:
+            run_classify(tp, stream)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    kept_short = len(cascade(short, tp.config.filter_cfg))
+    kept_long = len(cascade(long, tp.config.filter_cfg))
+    assert kept_long > 3 * kept_short
+    per_extra_event = (peak(long) - peak(short)) / (kept_long - kept_short)
+    assert per_extra_event < 8 * w * w / 4, per_extra_event

@@ -11,6 +11,7 @@ import argparse
 import sys
 import time
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 from . import _native
@@ -22,7 +23,10 @@ from .filtering import FilterConfig, cascade
 from .kdtree import dump_rom
 from .pgm import to_pgm
 from .pipeline import (
+    _CONFIG_KEYS,
+    PROFILES,
     PipelineConfig,
+    _with_attrs,
     fifo_snapshot,
     load_bundle,
     run_bench,
@@ -32,8 +36,7 @@ from .pipeline import (
     train_pipeline,
     window_spans,
 )
-from .rect import RectConfig
-from .synth import SceneSpec, parse_truth_csv, synth_scene, write_truth_csv
+from .synth import SHAPES, SceneSpec, parse_truth_csv, synth_scene, write_truth_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,81 +57,63 @@ def parse_kv(text: str, source: str = "config") -> dict[str, str]:
     return out
 
 
-def _coerce(kv: dict[str, str], key: str, kind, default):
+# SceneSpec's keys, read as the pipeline's are (see pipeline._CONFIG_KEYS)
+_SCENE_KEYS = (
+    ("shape", "shape", "str"),
+    ("geometry", "geometry", "pair"),
+    ("start_x", "start_x", "float"),
+    ("start_y", "start_y", "float"),
+    ("vx", "vx", "float"),
+    ("vy", "vy", "float"),
+    ("size", "size", "float"),
+    ("duration_us", "duration_us", "int"),
+    ("event_rate", "event_rate", "float"),
+    ("noise_rate", "noise_rate", "float"),
+    ("frame_interval_us", "frame_interval_us", "int"),
+)
+
+# the keys of a geometry pair in a config file
+_PAIR_KEYS = ("rows", "cols")
+
+
+def _text_value(kv: dict[str, str], key: str, kind: str, default):
+    """``kv.pop(key)`` read as a value of ``kind``, or ``default`` when it is
+    absent; an "int?" of 0 is unset."""
+    if kind == "pair":
+        rows, cols = _PAIR_KEYS
+        return SensorGeometry(n_rows=_text_value(kv, rows, "int", default.n_rows),
+                              n_cols=_text_value(kv, cols, "int", default.n_cols))
     if key not in kv:
         return default
     raw = kv.pop(key)
-    if kind is bool:
+    if kind == "bool":
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise UsageError(f"config key {key}: expected a boolean, got {raw!r}")
     try:
-        return kind(raw)
+        if kind == "int?":
+            return int(raw) or None
+        return {"int": int, "float": float, "str": str}[kind](raw)
     except ValueError:
         raise UsageError(f"config key {key}: cannot parse {raw!r}") from None
 
 
-def pipeline_config_from_kv(kv: dict[str, str]) -> PipelineConfig:
+def _from_kv(kv: dict[str, str], keys, default, what: str):
     kv = dict(kv)
-    geometry = SensorGeometry(
-        n_rows=_coerce(kv, "rows", int, 180), n_cols=_coerce(kv, "cols", int, 240)
-    )
-    filter_cfg = FilterConfig(
-        theta_noise_us=_coerce(kv, "theta_noise_us", int, 5_000),
-        theta_ref_us=_coerce(kv, "theta_ref_us", int, 1_000),
-    )
-    rect_cfg = RectConfig(
-        s=_coerce(kv, "fifo_capacity", int, 5_000),
-        p=_coerce(kv, "pool_p", int, 2),
-        q=_coerce(kv, "pool_q", int, 2),
-        w=_coerce(kv, "patch_w", int, 9),
-        normalize=_coerce(kv, "normalize", bool, True),
-    )
-    pca_dims = _coerce(kv, "pca_dims", int, 0)
-    config = PipelineConfig(
-        geometry=geometry,
-        filter_cfg=filter_cfg,
-        rect_cfg=rect_cfg,
-        pca_mode=_coerce(kv, "pca_mode", str, "vpca"),
-        pca_energy=_coerce(kv, "pca_energy", float, 0.95),
-        pca_dims=pca_dims or None,
-        k=_coerce(kv, "dictionary_k", int, 3000),
-        s_window=_coerce(kv, "window_s", int, 100_000),
-        n_landmarks=_coerce(kv, "landmarks_d", int, 20),
-        profile=_coerce(kv, "profile", str, "float"),
-        seed=_coerce(kv, "seed", int, 0),
-        sample_cap=_coerce(kv, "sample_cap", int, 100_000),
-        svm_lambda=_coerce(kv, "svm_lambda", float, 1e-4),
-        svm_epochs=_coerce(kv, "svm_epochs", int, 200),
-        frac_bits=_coerce(kv, "frac_bits", int, 24),
-    )
+    values = {attr: _text_value(kv, key, kind, attrgetter(attr)(default)) for key, attr, kind in keys}
     if kv:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(kv))}")
-    return config
+        raise UsageError(f"unknown {what} keys: {', '.join(sorted(kv))}")
+    return _with_attrs(default, values)
+
+
+def pipeline_config_from_kv(kv: dict[str, str]) -> PipelineConfig:
+    return _from_kv(kv, _CONFIG_KEYS, PipelineConfig(), "config")
 
 
 def scene_spec_from_kv(kv: dict[str, str]) -> SceneSpec:
-    kv = dict(kv)
-    spec = SceneSpec(
-        shape=_coerce(kv, "shape", str, "ring"),
-        geometry=SensorGeometry(
-            n_rows=_coerce(kv, "rows", int, 180), n_cols=_coerce(kv, "cols", int, 240)
-        ),
-        start_x=_coerce(kv, "start_x", float, 120.0),
-        start_y=_coerce(kv, "start_y", float, 90.0),
-        vx=_coerce(kv, "vx", float, 0.0),
-        vy=_coerce(kv, "vy", float, 0.0),
-        size=_coerce(kv, "size", float, 12.0),
-        duration_us=_coerce(kv, "duration_us", int, 1_000_000),
-        event_rate=_coerce(kv, "event_rate", float, 20_000.0),
-        noise_rate=_coerce(kv, "noise_rate", float, 0.0),
-        frame_interval_us=_coerce(kv, "frame_interval_us", int, 10_000),
-    )
-    if kv:
-        raise UsageError(f"unknown scene keys: {', '.join(sorted(kv))}")
-    return spec
+    return _from_kv(kv, _SCENE_KEYS, SceneSpec(), "scene")
 
 
 def _read_events(path: str, geometry: SensorGeometry):
@@ -172,13 +157,11 @@ def _cmd_filter(args) -> int:
 
 def _cmd_synth(args) -> int:
     kv = parse_kv(Path(args.spec).read_text(), source=args.spec) if args.spec else {}
-    for name in (
-        "shape", "rows", "cols", "start_x", "start_y", "vx", "vy", "size",
-        "duration_us", "event_rate", "noise_rate", "frame_interval_us",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            kv[name] = str(value)
+    for key, _, kind in _SCENE_KEYS:
+        for name in _PAIR_KEYS if kind == "pair" else (key,):
+            value = getattr(args, name)
+            if value is not None:
+                kv[name] = str(value)
     spec = scene_spec_from_kv(kv)
     stream, truth = synth_scene(spec, seed=args.seed)
     Path(args.output).write_text(write_csv(stream))
@@ -304,10 +287,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("filter", help="run the two-stage noise filter over an event CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--rows", type=int, default=180)
-    p.add_argument("--cols", type=int, default=240)
-    p.add_argument("--theta-noise-us", type=int, default=5_000)
-    p.add_argument("--theta-ref-us", type=int, default=1_000)
+    p.add_argument("--rows", type=int, default=SensorGeometry().n_rows)
+    p.add_argument("--cols", type=int, default=SensorGeometry().n_cols)
+    p.add_argument("--theta-noise-us", type=int, default=FilterConfig().theta_noise_us)
+    p.add_argument("--theta-ref-us", type=int, default=FilterConfig().theta_ref_us)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled scene")
@@ -315,7 +298,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--truth")
     p.add_argument("--spec", help="key=value scene file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shape", choices=["bar", "cross", "ring"])
+    p.add_argument("--shape", choices=SHAPES)
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int)
     p.add_argument("--start-x", dest="start_x", type=float)
@@ -335,14 +318,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="key=value pipeline config file")
     p.add_argument("--output", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--profile", choices=["float", "hardware"])
+    p.add_argument("--profile", choices=PROFILES)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("classify", help="per-window classification of an event CSV")
     p.add_argument("--bundle", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", help="CSV path, default stdout")
-    p.add_argument("--profile", choices=["float", "hardware"])
+    p.add_argument("--profile", choices=PROFILES)
     p.add_argument("--dump-heat", dest="dump_heat", help="directory for PGM matrix dumps")
     p.set_defaults(func=_cmd_classify)
 
@@ -352,7 +335,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--target", help="target class, default first class")
     p.add_argument("--output", help="CSV path, default stdout")
     p.add_argument("--truth", help="ground-truth CSV for precision/recall")
-    p.add_argument("--profile", choices=["float", "hardware"])
+    p.add_argument("--profile", choices=PROFILES)
     p.add_argument("--dump-heat", dest="dump_heat", help="directory for PGM matrix dumps")
     p.set_defaults(func=_cmd_detect)
 
@@ -363,7 +346,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--bundle", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--profile", choices=["float", "hardware"])
+    p.add_argument("--profile", choices=PROFILES)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("tree", help="tree utilities")

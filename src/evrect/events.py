@@ -18,6 +18,10 @@ from .errors import DataError
 
 MAX_TIMESTAMP = (1 << 63) - 1
 
+# the noise filter's two int64 last-spike maps take 256 MB at this many pixels,
+# over 10x those of a 1280x960 sensor
+_MAX_PIXELS = 1 << 24
+
 
 @dataclass(frozen=True)
 class SensorGeometry:
@@ -29,6 +33,8 @@ class SensorGeometry:
     def __post_init__(self) -> None:
         if self.n_rows <= 0 or self.n_cols <= 0:
             raise DataError(f"sensor geometry must be positive, got {self.n_rows}x{self.n_cols}")
+        if self.n_rows * self.n_cols > _MAX_PIXELS:
+            raise DataError(f"sensor geometry {self.n_rows}x{self.n_cols} exceeds {_MAX_PIXELS} pixels")
 
     def contains(self, x: int, y: int) -> bool:
         return 0 <= x < self.n_cols and 0 <= y < self.n_rows

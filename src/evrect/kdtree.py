@@ -426,9 +426,11 @@ def dump_rom(packed: PackedTree) -> str:
 def parse_rom(text: str, vmin: float = 0.0, vmax: float = 0.0) -> PackedTree:
     """Read :func:`dump_rom`'s hex lines back, with the split-value range
     ``[vmin, vmax]`` that the words alone do not hold.  DataError unless the
-    image is a tree that :func:`check_tree` accepts and the range is finite
-    and ordered, so that every walk of it ends at a leaf."""
-    if not (math.isfinite(vmin) and math.isfinite(vmax) and vmin <= vmax):
+    image is a tree that :func:`check_tree` accepts and the range is ordered
+    and gives finite split values, so that every walk of it ends at a leaf."""
+    # the largest split value, vmin + 255 * scale as _dequantize computes it,
+    # must be finite too
+    if not (vmin <= vmax and math.isfinite(vmin + 255 * ((vmax - vmin) / 255.0))):
         raise DataError(f"ROM split range [{vmin}, {vmax}] is not a finite, ordered range")
     words = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -90,6 +91,50 @@ class PipelineConfig:
         if self.profile == "hardware" and self.rect_cfg.normalize:
             # the hardware pipeline has no normalizer stage
             object.__setattr__(self, "rect_cfg", replace(self.rect_cfg, normalize=False))
+
+
+# The pipeline's config keys, as a bundle's META "config" and `key = value`
+# config files name them: (key, PipelineConfig attribute, kind).  A kind is
+# "int", "float", "bool", "str", "int?" (an integer or unset) or "pair": the
+# sensor geometry, [rows, cols] in a bundle and the `rows` and `cols` keys in
+# a config file.  The defaults are the dataclasses'.
+_CONFIG_KEYS = (
+    ("geometry", "geometry", "pair"),
+    ("theta_noise_us", "filter_cfg.theta_noise_us", "int"),
+    ("theta_ref_us", "filter_cfg.theta_ref_us", "int"),
+    ("fifo_capacity", "rect_cfg.s", "int"),
+    ("pool_p", "rect_cfg.p", "int"),
+    ("pool_q", "rect_cfg.q", "int"),
+    ("patch_w", "rect_cfg.w", "int"),
+    ("normalize", "rect_cfg.normalize", "bool"),
+    ("pca_mode", "pca_mode", "str"),
+    ("pca_energy", "pca_energy", "float"),
+    ("pca_dims", "pca_dims", "int?"),
+    ("dictionary_k", "k", "int"),
+    ("window_s", "s_window", "int"),
+    ("landmarks_d", "n_landmarks", "int"),
+    ("profile", "profile", "str"),
+    ("seed", "seed", "int"),
+    ("sample_cap", "sample_cap", "int"),
+    ("svm_lambda", "svm_lambda", "float"),
+    ("svm_epochs", "svm_epochs", "int"),
+    ("frac_bits", "frac_bits", "int"),
+)
+
+
+def _with_attrs(obj, values: dict):
+    """The dataclass ``obj`` with the attributes at the dotted paths of
+    ``values`` set; each dataclass is rebuilt once, so its checks run."""
+    top, nested = {}, {}
+    for path, value in values.items():
+        head, _, rest = path.partition(".")
+        if rest:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            top[head] = value
+    for head, inner in nested.items():
+        top[head] = _with_attrs(getattr(obj, head), inner)
+    return replace(obj, **top)
 
 
 @dataclass(frozen=True)
@@ -603,31 +648,13 @@ def run_bench(tp: TrainedPipeline, stream: EventStream, profile: str | None = No
 
 
 def save_bundle(tp: TrainedPipeline) -> bytes:
-    cfg = tp.config
+    config = {}  # each value as the config holds it
+    for key, attr, kind in _CONFIG_KEYS:
+        value = attrgetter(attr)(tp.config)
+        config[key] = [value.n_rows, value.n_cols] if kind == "pair" else value
     meta = {
         "kind": "evrect-pipeline",
-        "config": {
-            "geometry": [cfg.geometry.n_rows, cfg.geometry.n_cols],
-            "theta_noise_us": cfg.filter_cfg.theta_noise_us,
-            "theta_ref_us": cfg.filter_cfg.theta_ref_us,
-            "fifo_capacity": cfg.rect_cfg.s,
-            "pool_p": cfg.rect_cfg.p,
-            "pool_q": cfg.rect_cfg.q,
-            "patch_w": cfg.rect_cfg.w,
-            "normalize": cfg.rect_cfg.normalize,
-            "pca_mode": cfg.pca_mode,
-            "pca_energy": cfg.pca_energy,
-            "pca_dims": cfg.pca_dims,
-            "dictionary_k": cfg.k,
-            "window_s": cfg.s_window,
-            "landmarks_d": cfg.n_landmarks,
-            "profile": cfg.profile,
-            "seed": cfg.seed,
-            "sample_cap": cfg.sample_cap,
-            "svm_lambda": cfg.svm_lambda,
-            "svm_epochs": cfg.svm_epochs,
-            "frac_bits": cfg.frac_bits,
-        },
+        "config": config,
         "class_names": list(tp.class_names),
         "feature_space": tp.dictionary.feature_space,
         "kept_dims": list(tp.vproj.kept_dims) if tp.vproj is not None else None,
@@ -665,92 +692,85 @@ def save_bundle(tp: TrainedPipeline) -> bytes:
     return bundle_mod.write_bundle(meta, sections)
 
 
-def _meta_value(meta: dict, key: str, convert):
-    """``convert(meta[key])``; a value of the wrong JSON type is a DataError
-    that names the key."""
-    value = meta[key]
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"META {key!r} is {value!r}: {exc}") from None
+# kind: (a test of a decoded JSON value, what passes it); a bool is no number
+_JSON_KINDS = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "int?": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "pair": (lambda v: type(v) is list and len(v) == 2 and all(type(n) is int for n in v),
+             "two integers"),
+    "ints": (lambda v: type(v) is list and all(type(n) is int for n in v), "a list of integers"),
+    "strs": (lambda v: type(v) is list and all(type(n) is str for n in v), "a list of strings"),
+    "range": (lambda v: type(v) is list and len(v) == 2 and all(type(n) in (int, float) for n in v),
+              "two numbers"),
+    "object": (lambda v: type(v) is dict, "an object"),
+}
 
 
-def _value_range(value) -> tuple[float, float]:
-    vmin, vmax = value
-    return float(vmin), float(vmax)
+def _json_value(obj: dict, key: str, kind: str, where: str = "META"):
+    """``obj[key]``, a DataError that names ``where`` and the key unless its
+    JSON type is ``kind``'s; a "pair" is a SensorGeometry."""
+    if key not in obj:
+        raise DataError(f"{where} is missing {key!r}")
+    value = obj[key]
+    fits, expected = _JSON_KINDS[kind]
+    if not fits(value):
+        raise DataError(f"{where} {key!r} is {value!r}: expected {expected}")
+    return SensorGeometry(*value) if kind == "pair" else value
 
 
 def load_bundle(data: bytes) -> TrainedPipeline:
     meta, sections = bundle_mod.read_bundle(data)
-    if meta.get("kind") != "evrect-pipeline":
-        raise DataError("bundle: not a pipeline bundle")
     try:
-        c = meta["config"]
-        config = PipelineConfig(
-            geometry=SensorGeometry(n_rows=c["geometry"][0], n_cols=c["geometry"][1]),
-            filter_cfg=FilterConfig(
-                theta_noise_us=c["theta_noise_us"], theta_ref_us=c["theta_ref_us"]
-            ),
-            rect_cfg=RectConfig(
-                s=c["fifo_capacity"], p=c["pool_p"], q=c["pool_q"], w=c["patch_w"],
-                normalize=c["normalize"],
-            ),
-            pca_mode=c["pca_mode"],
-            pca_energy=c["pca_energy"],
-            pca_dims=c["pca_dims"],
-            k=c["dictionary_k"],
-            s_window=c["window_s"],
-            n_landmarks=c["landmarks_d"],
-            profile=c["profile"],
-            seed=c["seed"],
-            sample_cap=c["sample_cap"],
-            svm_lambda=c["svm_lambda"],
-            svm_epochs=c["svm_epochs"],
-            frac_bits=c["frac_bits"],
-        )
-    except KeyError as exc:
-        raise DataError(f"bundle: config is missing {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        # a value of the wrong JSON type, or out of range (DataError)
-        raise DataError(f"bundle: config: {exc}") from None
-
-    try:
-        class_names = _meta_value(meta, "class_names", tuple)
-        centroids = sections["DICT"]["centroids"]
-        t = sections["TREE"]
-        tree = KdTree(
-            is_leaf=t["is_leaf"].astype(bool),
-            split_dim=t["split_dim"].astype(np.int32),
-            split_val=t["split_val"].astype(np.float64),
-            left=t["left"].astype(np.int32),
-            right=t["right"].astype(np.int32),
-            leaf_index=t["leaf_index"].astype(np.int32),
-            points=None,
-            dim=_meta_value(meta, "tree_dim", int),
-            n_points=len(centroids),
-        )
-        svm = SvmModel(
-            weights=sections["SVM_"]["weights"],
-            bias=sections["SVM_"]["bias"],
-            class_names=class_names,
-        )
-        landmark_rows = sections["LAND"]["landmarks"]
+        return _decode_bundle(meta, sections)
     except KeyError as exc:
         raise DataError(f"bundle: missing component {exc.args[0]!r}") from None
     except DataError as exc:
         raise DataError(f"bundle: {exc}") from None
+
+
+def _decode_bundle(meta: dict, sections: dict[str, dict[str, np.ndarray]]) -> TrainedPipeline:
+    if meta.get("kind") != "evrect-pipeline":
+        raise DataError("not a pipeline bundle")
+    c = _json_value(meta, "config", "object")
+    config = _with_attrs(
+        PipelineConfig(), {attr: _json_value(c, key, kind, "config") for key, attr, kind in _CONFIG_KEYS}
+    )
+    class_names = tuple(_json_value(meta, "class_names", "strs"))
+    feature_space = _json_value(meta, "feature_space", "str")
+    centroids = sections["DICT"]["centroids"]
+    t = sections["TREE"]
+    tree = KdTree(
+        is_leaf=t["is_leaf"].astype(bool),
+        split_dim=t["split_dim"].astype(np.int32),
+        split_val=t["split_val"].astype(np.float64),
+        left=t["left"].astype(np.int32),
+        right=t["right"].astype(np.int32),
+        leaf_index=t["leaf_index"].astype(np.int32),
+        points=None,
+        dim=_json_value(meta, "tree_dim", "int"),
+        n_points=len(centroids),
+    )
+    svm = SvmModel(
+        weights=sections["SVM_"]["weights"],
+        bias=sections["SVM_"]["bias"],
+        class_names=class_names,
+    )
+    landmark_rows = sections["LAND"]["landmarks"]
     n_classes, k = len(class_names), len(centroids)
     n_landmarks = min(config.n_landmarks, k)
     if svm.weights.shape != (n_classes, k):
-        raise DataError(f"bundle: SVM weights of shape {svm.weights.shape} for "
+        raise DataError(f"SVM weights of shape {svm.weights.shape} for "
                         f"{n_classes} classes over {k} entries")
     if svm.bias.shape != (n_classes,):
-        raise DataError(f"bundle: SVM bias of shape {svm.bias.shape} for {n_classes} classes")
+        raise DataError(f"SVM bias of shape {svm.bias.shape} for {n_classes} classes")
     if landmark_rows.shape != (n_classes, n_landmarks):
-        raise DataError(f"bundle: landmarks of shape {landmark_rows.shape} for "
+        raise DataError(f"landmarks of shape {landmark_rows.shape} for "
                         f"{n_classes} classes of {n_landmarks}")
     if ((landmark_rows < 0) | (landmark_rows >= k)).any():
-        raise DataError(f"bundle: a landmark id outside 0..{k - 1}")
+        raise DataError(f"a landmark id outside 0..{k - 1}")
     landmarks = {
         name: DetectorModel(landmarks=tuple(int(v) for v in landmark_rows[i]))
         for i, name in enumerate(class_names)
@@ -758,53 +778,51 @@ def load_bundle(data: bytes) -> TrainedPipeline:
 
     pca_model = None
     if "PCA_" in sections:
-        try:
-            p = sections["PCA_"]
-            pca_model = PcaModel(
-                mean=p["mean"],
-                components=p["components"],
-                eigenvalues=p["eigenvalues"],
-                energy_kept=_meta_value(meta, "pca_energy_kept", float),
-            )
-        except KeyError as exc:
-            raise DataError(f"bundle: missing component {exc.args[0]!r}") from None
-        except DataError as exc:
-            raise DataError(f"bundle: {exc}") from None
+        p = sections["PCA_"]
+        pca_model = PcaModel(
+            mean=p["mean"],
+            components=p["components"],
+            eigenvalues=p["eigenvalues"],
+            energy_kept=_json_value(meta, "pca_energy_kept", "float"),
+        )
         # descriptors of d = patch_w**2 values project onto the tree's d' axes
         d, d_tree = config.rect_cfg.dim, tree.dim
         shapes = [a.shape for a in (pca_model.mean, pca_model.components, pca_model.eigenvalues)]
         if shapes != [(d,), (d_tree, d), (d_tree,)]:
-            raise DataError(f"bundle: PCA mean, components and eigenvalues of shapes "
+            raise DataError(f"PCA mean, components and eigenvalues of shapes "
                             f"{', '.join(map(str, shapes))} for {d}-value descriptors "
                             f"and a tree over {d_tree} dimensions")
     # every walk must end inside the tree, so both trees are checked here,
     # before any descent reads them
-    try:
-        check_tree(tree)
-        vproj = None
-        if meta.get("kept_dims") is not None:
-            vproj = VirtualProjection(
-                kept_dims=_meta_value(meta, "kept_dims", lambda v: tuple(int(d) for d in v)),
-                source_dim=_meta_value(meta, "source_dim", int),
-            )
-            if len(vproj.kept_dims) != tree.dim:
-                raise DataError(f"{len(vproj.kept_dims)} kept dimensions for a tree over {tree.dim}")
-        packed = qtree = None
-        if "PACK" in sections:
-            vmin, vmax = _meta_value(meta, "packed_range", _value_range)
-            packed = PackedTree(words=sections["PACK"]["words"], vmin=vmin, vmax=vmax)
-            qtree = unpack(packed, tree.dim)
-            check_tree(qtree)
-            if qtree.n_points != tree.n_points:
-                raise DataError(f"packed tree has {qtree.n_points} leaves for {tree.n_points} entries")
-            # the hardware profile descends the ROM alone, so it must be the
-            # float tree's own packing
-            repacked = pack(tree)
-            if (not np.array_equal(packed.words, repacked.words)
-                    or [packed.vmin, packed.vmax] != [repacked.vmin, repacked.vmax]):
-                raise DataError("packed tree is not the packing of the float tree")
-    except DataError as exc:
-        raise DataError(f"bundle: {exc}") from None
+    check_tree(tree)
+    vproj = None
+    if meta.get("kept_dims") is not None:
+        vproj = VirtualProjection(
+            kept_dims=tuple(_json_value(meta, "kept_dims", "ints")),
+            source_dim=_json_value(meta, "source_dim", "int"),
+        )
+        if len(vproj.kept_dims) != tree.dim:
+            raise DataError(f"{len(vproj.kept_dims)} kept dimensions for a tree over {tree.dim}")
+    # without PCA, the tree reads the descriptors' own columns
+    d_read = tree.dim if vproj is None else vproj.source_dim
+    if pca_model is None and d_read != config.rect_cfg.dim:
+        raise DataError(f"a tree that reads {d_read}-value descriptors, not {config.rect_cfg.dim}")
+    packed = qtree = None
+    if "PACK" in sections:
+        vmin, vmax = _json_value(meta, "packed_range", "range")
+        packed = PackedTree(words=sections["PACK"]["words"], vmin=vmin, vmax=vmax)
+        qtree = unpack(packed, tree.dim)
+        check_tree(qtree)
+        if qtree.n_points != tree.n_points:
+            raise DataError(f"packed tree has {qtree.n_points} leaves for {tree.n_points} entries")
+        # the hardware profile descends the ROM alone, so it must be the
+        # float tree's own packing
+        repacked = pack(tree)
+        if (not np.array_equal(packed.words, repacked.words)
+                or [packed.vmin, packed.vmax] != [repacked.vmin, repacked.vmax]):
+            raise DataError("packed tree is not the packing of the float tree")
+    elif config.profile == "hardware":
+        raise DataError("the hardware profile without a packed tree")
     stream_model = None
     if config.s_window >= 1:
         stream_model = export_stream(
@@ -816,7 +834,7 @@ def load_bundle(data: bytes) -> TrainedPipeline:
     return TrainedPipeline(
         config=config,
         class_names=class_names,
-        dictionary=Dictionary(centroids=centroids, feature_space=meta["feature_space"]),
+        dictionary=Dictionary(centroids=centroids, feature_space=feature_space),
         tree=tree,
         svm=svm,
         landmarks=landmarks,
@@ -824,6 +842,6 @@ def load_bundle(data: bytes) -> TrainedPipeline:
         vproj=vproj,
         packed=packed,
         stream_model=stream_model,
-        stats=dict(meta.get("stats") or {}),
+        stats=dict(_json_value(meta, "stats", "object")),
         _qtree=qtree,
     )

@@ -1,10 +1,16 @@
 """Tests for the command-line interface (run in-process via main)."""
 
+import json
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from evrect.bundle import read_bundle
 from evrect.cli import main, parse_kv, pipeline_config_from_kv, scene_spec_from_kv
@@ -12,6 +18,8 @@ from evrect.errors import UsageError
 from evrect.events import SensorGeometry, parse_csv
 from evrect.filtering import FilterConfig, cascade
 from evrect.kdtree import parse_rom
+from evrect.pipeline import _CONFIG_KEYS, PCA_MODES, PROFILES, PipelineConfig
+from evrect.synth import SceneSpec
 
 
 TRAIN_CONFIG = """
@@ -67,6 +75,13 @@ def float_bundle(cli_dir):
     )
     assert code == 0
     return bundle
+
+
+@pytest.fixture(scope="module")
+def probe_csv(cli_dir):
+    path = cli_dir / "probe.csv"
+    write_scene(path, "ring", seed=3, duration_us=100_000)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -313,9 +328,28 @@ def _pca_mutants(blob):
     }
 
 
+# config values of the wrong JSON type or size: the first four ended in a
+# traceback with exit 1, the next seven ran with exit 0 on a model other than
+# the one trained, and the last exited 2 from the descent, with no "bundle:"
+CONFIG_MUTANTS = [
+    ("fifo_capacity", 400.5),
+    ("geometry", [180.0, 240]),
+    ("window_s", 400.5),
+    ("geometry", [10**9, 10**9]),
+    ("theta_noise_us", True),
+    ("normalize", "no"),
+    ("seed", 1.5),
+    ("pca_dims", 3.0),
+    ("frac_bits", 1000.0),
+    ("svm_lambda", "x"),
+    ("geometry", [180, 240, 1]),
+    ("patch_w", 5.0),
+]
+
+
 def _meta_mutants(float_blob, hw_blob, pca_blob):
-    """META values of the wrong JSON type, each of which ended in a
-    traceback with exit 1."""
+    """META values missing or of the wrong JSON type, each of which ended in
+    a traceback with exit 1, and CONFIG_MUTANTS."""
     from evrect.bundle import write_bundle
 
     def edited(blob, edit):
@@ -323,13 +357,19 @@ def _meta_mutants(float_blob, hw_blob, pca_blob):
         edit(meta)
         return write_bundle(meta, sections)
 
-    return {
+    mutants = {
         "pca_energy_kept null": edited(pca_blob, lambda m: m.update(pca_energy_kept=None)),
         "tree_dim x": edited(float_blob, lambda m: m.update(tree_dim="x")),
         "fifo_capacity x": edited(float_blob, lambda m: m["config"].update(fifo_capacity="x")),
         "kept_dims a": edited(float_blob, lambda m: m.update(kept_dims=["a"])),
         "3-item packed_range": edited(hw_blob, lambda m: m.update(packed_range=[0.0, 0.5, 1.0])),
+        "stats ab": edited(float_blob, lambda m: m.update(stats="ab")),
+        "no feature_space": edited(float_blob, lambda m: m.pop("feature_space")),
     }
+    for key, value in CONFIG_MUTANTS:
+        mutants[f"{key} {value!r}"] = edited(
+            float_blob, lambda m, key=key, value=value: m["config"].update({key: value}))
+    return mutants
 
 
 def test_malformed_bundle_is_data_error(float_bundle, hw_bundle, pca_bundle, tmp_path, capsys):
@@ -385,6 +425,103 @@ def test_malformed_bundle_is_data_error(float_bundle, hw_bundle, pca_bundle, tmp
                 assert proc.returncode == 2, case
                 assert proc.stderr.startswith("error: bundle:"), case
                 assert "Traceback" not in proc.stderr, case
+
+
+# Classifies each bundle path after the first argument (the probe CSV) in this
+# one process, as `evrect classify` would, and prints [exit code, stderr] per
+# bundle as a JSON line; an exception that escapes main prints its traceback.
+_CLASSIFY_EACH = """
+import contextlib, io, json, os, sys, traceback
+from evrect.cli import main
+for bundle in sys.argv[2:]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(["classify", "--bundle", bundle, "--input", sys.argv[1], "--output", os.devnull])
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    print(json.dumps([code, err.getvalue()]))
+"""
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**62), st.floats(),
+    st.text(max_size=6), st.sampled_from(PCA_MODES + PROFILES),
+)
+# a geometry item is of another JSON type, fails the bundle's own checks, or
+# holds the probe's pixels: a decoded geometry never fails the probe's parse
+_GEOMETRY_ITEMS = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.integers(max_value=0), st.integers(min_value=2**24 + 1), st.integers(240, 600),
+)
+
+
+@st.composite
+def _config_cases(draw):
+    """One (bundle, key, JSON value) case for each config key; half the
+    values are small integers, where most keys' valid ranges lie."""
+    cases = []
+    for key, _, _ in _CONFIG_KEYS:
+        items = _GEOMETRY_ITEMS if key == "geometry" else _JSON_SCALARS
+        values = st.one_of(_JSON_SCALARS, st.lists(items, max_size=3))
+        if draw(st.booleans()):
+            values = st.integers(-2, 64)
+        cases.append((draw(st.sampled_from(["float", "hw"])), key, draw(values)))
+    return cases
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cases=_config_cases())
+def test_bundle_config_fuzz(float_bundle, hw_bundle, probe_csv, cases):
+    """A JSON value of any type in one key of META's config, for each key:
+    exit 0, or exit 2 that blames the bundle, and never a traceback.  The
+    cases run in a child process, so that a hang fails the test instead of
+    stalling it."""
+    from evrect.bundle import write_bundle
+
+    blobs = {"float": float_bundle.read_bytes(), "hw": hw_bundle.read_bytes()}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, (name, key, value) in enumerate(cases):
+            meta, sections = read_bundle(blobs[name])
+            meta["config"][key] = value
+            paths.append(Path(tmp) / f"{i}.evrb")
+            paths[-1].write_bytes(write_bundle(meta, sections))
+        proc = subprocess.run([sys.executable, "-c", _CLASSIFY_EACH, str(probe_csv), *map(str, paths)],
+                              capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(cases)
+    for case, (code, err) in zip(cases, results):
+        assert "Traceback" not in err, (case, err)
+        assert code == 0 or (code == 2 and err.startswith("error: bundle:")), (case, code, err)
+
+
+@pytest.mark.parametrize("command", ["train", "filter", "classify"])
+def test_sensor_geometry_is_bounded(command, cli_dir, float_bundle, tmp_path, capsys):
+    """A 10^9 x 10^9 sensor ended in a MemoryError traceback from each entry
+    point that sets the geometry."""
+    from evrect.bundle import write_bundle
+
+    side = "1000000000"
+    recording = cli_dir / "bar.csv"
+    out = str(tmp_path / "out")
+    if command == "train":
+        config = tmp_path / "huge.cfg"
+        config.write_text(f"{TRAIN_CONFIG}rows = {side}\ncols = {side}\n")
+        argv = ["train", f"bar={recording}", "--config", str(config), "--output", out]
+    elif command == "filter":
+        argv = ["filter", "--input", str(recording), "--output", out, "--rows", side, "--cols", side]
+    else:
+        meta, sections = read_bundle(float_bundle.read_bytes())
+        meta["config"]["geometry"] = [int(side), int(side)]
+        bundle = tmp_path / "huge.evrb"
+        bundle.write_bytes(write_bundle(meta, sections))
+        argv = ["classify", "--bundle", str(bundle), "--input", str(recording)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"sensor geometry {side}x{side} exceeds" in err
+    assert err.startswith("error: bundle:") == (command == "classify")
 
 
 def test_tree_dump_round_trips(cli_dir, hw_bundle, tmp_path):
@@ -556,6 +693,24 @@ def test_config_coercion_errors():
         scene_spec_from_kv({"color": "red"})
     cfg = pipeline_config_from_kv({"pca_dims": "0"})
     assert cfg.pca_dims is None
+
+
+def test_empty_config_is_the_defaults():
+    assert pipeline_config_from_kv({}) == PipelineConfig()
+    assert scene_spec_from_kv({}) == SceneSpec()
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Pipeline configuration", 1)[1].split("\n## ", 1)[0]
+    listed = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            listed.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    keys = set()
+    for key, _, kind in _CONFIG_KEYS:
+        keys.update(("rows", "cols") if kind == "pair" else (key,))
+    assert listed == keys
 
 
 def test_console_script_entry_point(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import quadratic_nn
 from evrect.errors import CapacityError, DataError
@@ -278,9 +280,45 @@ def test_parse_rom_rejects_images_that_are_not_trees(rng):
         with pytest.raises(DataError, match=f"ROM image: .*{match}"):
             parse_rom(text, vmin=packed.vmin, vmax=packed.vmax)
     text = dump_rom(packed)
-    for vmin, vmax in ((1.0, 0.0), (float("nan"), 1.0), (0.0, float("inf"))):
+    for vmin, vmax in ((1.0, 0.0), (float("nan"), 1.0), (0.0, float("inf")), (-1e308, 1e308)):
         with pytest.raises(DataError, match="finite, ordered"):
             parse_rom(text, vmin=vmin, vmax=vmax)
+
+
+_ROM_LINES = dump_rom(pack(build(np.random.default_rng(5).standard_normal((9, 3))))).splitlines()
+_ROM_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 63), st.integers(0, 52)),
+    st.tuples(st.just("line"), st.integers(0, 63),
+              st.text(alphabet="0123456789abcdefABCDEF+-_x \t\u0663", max_size=14)),
+    st.tuples(st.just("drop"), st.integers(0, 63), st.just(None)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(_ROM_EDITS, max_size=4), vmin=st.floats(), vmax=st.floats())
+def test_parse_rom_fuzz_gives_a_tree_or_a_data_error(edits, vmin, vmax):
+    """A real ROM image with bits flipped, lines replaced or dropped, over any
+    range: a PackedTree of the lines' words with finite split values, or a
+    DataError.  A finite range too wide for a float gave inf and nan splits."""
+    lines = list(_ROM_LINES)
+    for op, at, arg in edits:
+        if not lines:
+            break
+        at %= len(lines)
+        if op == "flip":  # a bit of the original word at that line
+            lines[at] = "%013x" % (int(_ROM_LINES[at % len(_ROM_LINES)], 16) ^ (1 << arg))
+        elif op == "line":
+            lines[at] = arg
+        else:
+            del lines[at]
+    try:
+        packed = parse_rom("\n".join(lines), vmin=vmin, vmax=vmax)
+    except DataError:
+        return
+    assert isinstance(packed, PackedTree)
+    assert len(packed.words) == sum(1 for line in lines if line.strip())
+    tree = unpack(packed)
+    assert np.isfinite(tree.split_val[~tree.is_leaf]).all()
 
 
 def test_descend_dimension_mismatch(rng):

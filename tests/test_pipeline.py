@@ -190,6 +190,16 @@ def test_bundle_round_trip_preserves_behavior(tp_vpca, test_stream):
     assert da == db
 
 
+def test_bundle_config_keeps_the_held_json_type(tp_vpca):
+    # an integer where a float belongs is written as the config holds it, and loads
+    from evrect.bundle import read_bundle
+
+    tp = dataclasses.replace(tp_vpca, config=dataclasses.replace(tp_vpca.config, svm_lambda=1))
+    data = save_bundle(tp)
+    assert repr(read_bundle(data)[0]["config"]["svm_lambda"]) == "1"
+    assert load_bundle(data).config == tp.config
+
+
 def test_vpca_bundle_sections(tp_vpca):
     from evrect.bundle import read_bundle
 
@@ -385,6 +395,18 @@ def _widen_packed_range(meta, sections):
     meta["packed_range"][1] += 1.0
 
 
+def _wider_patch(meta, sections):
+    meta["config"]["patch_w"] += 2
+
+
+def _drop_the_rom(meta, sections):
+    del sections["PACK"]
+
+
+def _frac_bits_past_40(meta, sections):
+    meta["config"]["frac_bits"] = 41
+
+
 # the message each edit must give, after "bundle: "
 BUNDLE_EDITS = {
     "leaf ids are not a permutation": _repeat_a_leaf_id,
@@ -394,6 +416,9 @@ BUNDLE_EDITS = {
     "kept dimensions for a tree": _drop_a_kept_dim,
     "packed tree has 1 leaves": _one_leaf_rom,
     "not the packing of the float tree": _widen_packed_range,
+    "reads 25-value descriptors, not 49": _wider_patch,
+    "hardware profile without a packed tree": _drop_the_rom,
+    "frac_bits outside": _frac_bits_past_40,
 }
 
 

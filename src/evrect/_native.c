@@ -1,15 +1,22 @@
 /* Per-event loops of the classify path, in C: the event CSV parse, the
  * refractory + 8-neighbour noise cascade, the FIFO count matrix read out as
- * one w x w patch per event, and the k-d tree descent.  The last three
- * follow the reference models in filtering.py (CascadeFilter), rect.py
- * (RectState) and kdtree.py (descend) step for step.  The patch copy
- * resumes where its last call stopped, so that a caller fills one reused
- * block of rows at a time, and the descent divides a value by its row's
- * norm as it reads it, so that no normalised copy is made.  The caller
- * checks every coordinate against the geometry, and every column index
- * against the row width, before calling.  The parse accepts only the
- * canonical form and leaves all other text, and every error, to the line
- * parser in events.py.
+ * one w x w patch per event, the k-d tree descent of such rows, and the
+ * same descent walked on the count matrix itself.  The last four follow the
+ * reference models in filtering.py (CascadeFilter), rect.py (RectState) and
+ * kdtree.py (descend) step for step.  The cascade keeps its noise map with
+ * a border of never-fired cells, so that every survivor tests all 8
+ * neighbours with no bounds check and no early exit.  A patch value is read
+ * from a table of count / area, one entry per count the FIFO can hold,
+ * built by the caller with the division RectState makes, so no value is
+ * divided per event.  The patch copy resumes where its last call stopped,
+ * so that a caller fills one reused block of rows at a time, and the
+ * descent divides a value by its row's norm as it reads it, so that no
+ * normalised copy is made.  Where no row is normalised or projected, the
+ * grid walk reads the few values a walk compares straight from the pooled
+ * grid and builds no row at all.  The caller checks every coordinate
+ * against the geometry, and every column index against the row width,
+ * before calling.  The parse accepts only the canonical form and leaves all
+ * other text, and every error, to the line parser in events.py.
  *
  * Two more serve k-means (dictionary.py): the nearest centre per row of a
  * product block, and the per-cluster sums.  They repeat the numpy steps
@@ -79,21 +86,26 @@ int64_t evrect_parse_csv(int64_t len, const char *buf, int64_t n_rows, int64_t n
 }
 
 /* Indices of the events the cascade keeps, written to `kept`; returns how
- * many, or -1 when memory runs out. */
+ * many, or -1 when memory runs out.  The noise map has a border of NEVER
+ * cells, (n_rows + 2) x (n_cols + 2), so that every neighbour of a pixel is
+ * a cell of the map, and one that lies off the sensor never fired. */
 int64_t evrect_cascade(int64_t n, const int64_t *xs, const int64_t *ys, const int64_t *ts,
                        int64_t n_rows, int64_t n_cols, int64_t theta_ref, int64_t theta_noise,
                        int64_t *kept)
 {
-    int64_t cells = n_rows * n_cols;
+    int64_t cells = n_rows * n_cols, wide = n_cols + 2, bordered = (n_rows + 2) * wide;
     int64_t *ref = malloc(cells * sizeof *ref);
-    int64_t *noise = malloc(cells * sizeof *noise);
+    int64_t *noise = malloc(bordered * sizeof *noise);
     if (!ref || !noise) {
         free(ref);
         free(noise);
         return -1;
     }
     for (int64_t i = 0; i < cells; i++)
-        ref[i] = noise[i] = NEVER;
+        ref[i] = NEVER;
+    for (int64_t i = 0; i < bordered; i++)
+        noise[i] = NEVER;
+    const int64_t around[8] = {-wide - 1, -wide, -wide + 1, -1, 1, wide - 1, wide, wide + 1};
 
     int64_t m = 0;
     for (int64_t i = 0; i < n; i++) {
@@ -103,54 +115,89 @@ int64_t evrect_cascade(int64_t n, const int64_t *xs, const int64_t *ys, const in
         ref[idx] = t;
         if (last != NEVER && gap_le(t, last, theta_ref))
             continue;
+        int64_t *cell = noise + (y + 1) * wide + x + 1;
         int accepted = 0;
-        for (int64_t yj = y - 1; yj <= y + 1 && !accepted; yj++) {
-            if (yj < 0 || yj >= n_rows)
-                continue;
-            for (int64_t xj = x - 1; xj <= x + 1; xj++) {
-                if (xj < 0 || xj >= n_cols || (xj == x && yj == y))
-                    continue;
-                int64_t tj = noise[yj * n_cols + xj];
-                /* t - tj < theta_noise */
-                if (tj != NEVER && gap_le(t, tj, theta_noise - 1)) {
-                    accepted = 1;
-                    break;
-                }
-            }
+        /* t - tj < theta_noise, for any neighbour that fired */
+        for (int k = 0; k < 8; k++) {
+            int64_t tj = cell[around[k]];
+            accepted |= (tj != NEVER) & gap_le(t, tj, theta_noise - 1);
         }
-        noise[idx] = t;
-        if (accepted)
-            kept[m++] = i;
+        *cell = t;
+        kept[m] = i;
+        m += accepted;
     }
     free(ref);
     free(noise);
     return m;
 }
 
+/* Event i enters the FIFO of capacity s, evicting event i - s: the counts
+ * of the pooled grid change by one each.  `grid` is the pooled grid with a
+ * zero border of w / 2 cells, `stride` cells wide; the padded cell of
+ * (x, y) is (y / p + h, x / q + h).  Returns the top-left cell of event i's
+ * w x w patch, h cells up and left of its own.  A sensor has at most 2^24
+ * pixels, and the caller clips p and q to its sides, so the divisions are
+ * exact in 32 bits, where they cost less than in 64. */
+static const int64_t *fifo_push(int64_t i, const int64_t *xs, const int64_t *ys, int64_t s,
+                                int64_t p, int64_t q, int64_t h, int64_t stride, int64_t *grid)
+{
+    uint32_t up = (uint32_t)p, uq = (uint32_t)q;
+    if (i >= s)
+        grid[((uint32_t)ys[i - s] / up + h) * stride + (uint32_t)xs[i - s] / uq + h] -= 1;
+    int64_t *corner = grid + ((uint32_t)ys[i] / up) * stride + (uint32_t)xs[i] / uq;
+    corner[h * stride + h] += 1;
+    return corner;
+}
+
 /* Rows i0 to i1 - 1 of the patches, written to the (i1 - i0) x w*w block
  * `out`: row i is the w x w block of pooled sums centred on event i's
- * pooled cell, each divided by `area`, right after event i entered a FIFO
- * of capacity s (evicting event i - s).  `grid` is the pooled grid with a
- * zero border of w / 2 cells, `stride` cells wide, owned by the caller: all
- * zero before event 0, it carries the FIFO's counts from one call to the
- * next, so a stream is filled in order, one block of rows at a time. */
+ * pooled cell, right after event i entered the FIFO, each sum c read as
+ * value[c] (c / area).  `grid`, owned by the caller, is all zero before
+ * event 0 and carries the FIFO's counts from one call to the next, so a
+ * stream is filled in order, one block of rows at a time. */
 void evrect_patches(int64_t i0, int64_t i1, const int64_t *xs, const int64_t *ys, int64_t s,
-                    int64_t p, int64_t q, int64_t w, int64_t stride, double area,
+                    int64_t p, int64_t q, int64_t w, int64_t stride, const double *value,
                     int64_t *grid, double *out)
 {
-    int64_t h = w / 2;
-    /* the padded cell of (x, y) is (y / p + h, x / q + h); a patch starts h
-     * cells up and left of it */
     for (int64_t i = i0; i < i1; i++) {
-        if (i >= s)
-            grid[(ys[i - s] / p + h) * stride + xs[i - s] / q + h] -= 1;
-        int64_t *corner = grid + (ys[i] / p) * stride + xs[i] / q;
-        corner[h * stride + h] += 1;
+        const int64_t *corner = fifo_push(i, xs, ys, s, p, q, w / 2, stride, grid);
         double *row = out + (i - i0) * w * w;
         for (int64_t a = 0; a < w; a++)
             for (int64_t b = 0; b < w; b++)
-                row[a * w + b] = (double)corner[a * stride + b] / area;
+                row[a * w + b] = value[corner[a * stride + b]];
     }
+}
+
+/* out[i - i0] is the leaf that event i's patch (as evrect_patches would
+ * write it) reaches, walked on the pooled grid itself: node j is a leaf
+ * when off[j] < 0, and otherwise reads value[corner[off[j]]], the patch
+ * value at offset off[j] from the patch's top-left cell, and goes left when
+ * that is <= split_val[j] (NaN goes right).  `grid` is carried from call to
+ * call as by evrect_patches.  Every step must go to a later node that
+ * exists; returns 0, or -1 at the first step that does not. */
+int evrect_patch_leaves(int64_t i0, int64_t i1, const int64_t *xs, const int64_t *ys, int64_t s,
+                        int64_t p, int64_t q, int64_t w, int64_t stride, const double *value,
+                        int64_t *grid, int64_t n_nodes, const int64_t *off,
+                        const double *split_val, const int32_t *left, const int32_t *right,
+                        const int32_t *leaf_index, int64_t *out)
+{
+    for (int64_t i = i0; i < i1; i++) {
+        const int64_t *corner = fifo_push(i, xs, ys, s, p, q, w / 2, stride, grid);
+        int64_t node = 0;
+        while (off[node] >= 0) {
+            /* the child is picked without a branch: which way a walk turns
+             * is close to a coin flip, and a mispredicted branch costs more
+             * than reading both children */
+            int64_t l = left[node], r = right[node];
+            int64_t right_side = !(value[corner[off[node]]] <= split_val[node]);
+            int64_t next = l + (r - l) * right_side;
+            if (next <= node || next >= n_nodes)
+                return -1;
+            node = next;
+        }
+        out[i - i0] = leaf_index[node];
+    }
+    return 0;
 }
 
 /* out[i] is the leaf index reached by row i of the n x width matrix `rows`

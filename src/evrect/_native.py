@@ -1,8 +1,12 @@
-"""C kernels loaded with ``ctypes`` (``_native.c``): the four per-event
-loops of the classify path (the event CSV parse, the noise cascade, the FIFO
-patch copy, resumed one block of rows at a time, and the k-d tree descent,
-which can divide each row by its norm as it reads it) and two k-means steps
-(the nearest centre per row of a product block, and the per-cluster sums).
+"""C kernels loaded with ``ctypes`` (``_native.c``): the five per-event
+loops of the classify path and two k-means steps (the nearest centre per row
+of a product block, and the per-cluster sums).  The per-event loops are the
+event CSV parse; the noise cascade, over a noise map with a border of
+never-fired cells; the FIFO patch copy, resumed one block of rows at a time,
+which reads each value from a table of count / pool area instead of dividing
+it; the k-d tree descent of those rows, which can divide each row by its
+norm as it reads it; and the grid walk, the same descent read straight from
+the FIFO's pooled grid, for rows that are neither normalised nor projected.
 
 The library is built with the local gcc on the first call that needs it,
 never at import, into ``__pycache__`` beside this file, named by the hash of
@@ -77,9 +81,12 @@ def load() -> ctypes.CDLL | None:
     lib.evrect_parse_csv.restype = _i64
     lib.evrect_cascade.argtypes = [_i64, _ptr, _ptr, _ptr, _i64, _i64, _i64, _i64, _ptr]
     lib.evrect_cascade.restype = _i64
-    lib.evrect_patches.argtypes = [_i64, _i64, _ptr, _ptr, _i64, _i64, _i64, _i64, _i64,
-                                   ctypes.c_double, _ptr, _ptr]
+    lib.evrect_patches.argtypes = [_i64, _i64, _ptr, _ptr, _i64, _i64, _i64, _i64, _i64, _ptr,
+                                   _ptr, _ptr]
     lib.evrect_patches.restype = None
+    lib.evrect_patch_leaves.argtypes = [_i64, _i64, _ptr, _ptr, _i64, _i64, _i64, _i64, _i64,
+                                        _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]
+    lib.evrect_patch_leaves.restype = ctypes.c_int
     lib.evrect_descend.argtypes = [_i64, _ptr, _i64, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr,
                                    _ptr]
     lib.evrect_descend.restype = ctypes.c_int
@@ -137,8 +144,9 @@ def cascade_kept(
 class PatchBlocks:
     """Each event's w x w patch of pooled sums divided by the pool area,
     filled in event order into the first rows of one reused ``rows`` x w²
-    buffer, a block at a time; the FIFO's pooled grid is kept from one block
-    to the next.  Coordinates must lie inside the geometry."""
+    buffer, a block at a time, or walked by a tree on the pooled grid
+    itself; the FIFO's pooled grid is kept from one call to the next.
+    Coordinates must lie inside the geometry."""
 
     def __init__(
         self, lib: ctypes.CDLL, x: np.ndarray, y: np.ndarray, n_rows: int, n_cols: int,
@@ -148,15 +156,22 @@ class PatchBlocks:
         self._x, self._y = _column(x), _column(y)
         n = len(self._x)
         h = w // 2
+        self._w = w
         self._stride = -(-n_cols // q) + 2 * h
         # a capacity of at least n never evicts, and a pooling side of at
         # least the sensor's puts every pixel in cell 0: clip both to what
         # int64 holds
-        self._shape = (min(s, n), min(p, n_rows), min(q, n_cols), w)
-        self._area = float(p * q)
+        self._shape = (min(s, n), min(p, n_rows), min(q, n_cols), w, self._stride)
+        # a pooled sum never exceeds what the FIFO holds; each count c reads
+        # as c / (p q), the same IEEE division RectState makes
+        self._value = np.arange(min(s, n) + 1, dtype=np.float64) / float(p * q)
         self._grid = np.zeros((-(-n_rows // p) + 2 * h) * self._stride, dtype=np.int64)
         self.buffer = np.empty((rows, w * w), dtype=np.float64)
         self.done = 0
+
+    def _state(self) -> tuple:
+        return (self._x.ctypes.data, self._y.ctypes.data, *self._shape,
+                self._value.ctypes.data, self._grid.ctypes.data)
 
     def fill(self, stop: int) -> np.ndarray:
         """The patches of events ``done`` to ``stop``, written to the first
@@ -164,11 +179,29 @@ class PatchBlocks:
         start = self.done
         if not 0 <= stop - start <= len(self.buffer) or stop > len(self._x):
             raise ValueError(f"cannot fill events {start} to {stop} into {len(self.buffer)} rows")
-        self._lib.evrect_patches(start, stop, self._x.ctypes.data, self._y.ctypes.data,
-                                 *self._shape, self._stride, self._area, self._grid.ctypes.data,
-                                 self.buffer.ctypes.data)
+        self._lib.evrect_patches(start, stop, *self._state(), self.buffer.ctypes.data)
         self.done = stop
         return self.buffer[: stop - start]
+
+    def leaves(self, descent: Descent) -> np.ndarray:
+        """The leaf each event from ``done`` to the last reaches when
+        ``descent`` walks its patch, as :meth:`fill` would write it, read
+        from the pooled grid: a walk reads only the values it compares, and
+        no row is built.  Patch column c is cell (c // w, c % w) of the
+        patch.  DataError at a step to an earlier or missing node."""
+        col = descent.node_col
+        w = self._w
+        if col.size and col.max() >= w * w:
+            raise ValueError(f"a column index lies outside the {w * w} patch values")
+        # the offset of each node's cell from the patch's top-left cell, -1 at a leaf
+        off = np.where(col >= 0, col // w * self._stride + col % w, -1)
+        start, stop = self.done, len(self._x)
+        out = np.empty(stop - start, dtype=np.int64)
+        if self._lib.evrect_patch_leaves(start, stop, *self._state(), len(col), off.ctypes.data,
+                                         *descent.pointers[1:], out.ctypes.data) < 0:
+            raise DataError(BAD_STEP)
+        self.done = stop
+        return out
 
 
 def patch_blocks(
@@ -193,7 +226,11 @@ class Descent:
         self._nodes = (np.ascontiguousarray(node_col, dtype=np.int64),
                        np.ascontiguousarray(split_val, dtype=np.float64),
                        *(np.ascontiguousarray(a, dtype=np.int32) for a in (left, right, leaf_index)))
-        self._pointers = [a.ctypes.data for a in self._nodes]
+        self.pointers = [a.ctypes.data for a in self._nodes]
+
+    @property
+    def node_col(self) -> np.ndarray:
+        return self._nodes[0]
 
     def leaves(self, rows: np.ndarray, norm: np.ndarray | None = None) -> np.ndarray:
         """The leaf index each row of the C-order float64 matrix ``rows``
@@ -204,7 +241,7 @@ class Descent:
         out = np.empty(len(rows), dtype=np.int64)
         if self._lib.evrect_descend(len(rows), rows.ctypes.data, rows.shape[1],
                                     None if norm is None else norm.ctypes.data,
-                                    len(self._nodes[0]), *self._pointers, out.ctypes.data) < 0:
+                                    len(self._nodes[0]), *self.pointers, out.ctypes.data) < 0:
             raise DataError(BAD_STEP)
         return out
 

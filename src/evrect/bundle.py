@@ -74,9 +74,18 @@ def _decode_arrays(payload: bytes, tag: str) -> dict[str, np.ndarray]:
 
     while pos < len(payload):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        raw_name = take(name_len)
         (code_len,) = struct.unpack("<H", take(2))
-        code = take(code_len).decode("ascii")
+        raw_code = take(code_len)
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"bundle: an array name in {tag} is not UTF-8") from None
+        # only the dtypes _canonical writes: any other numpy code, an object
+        # array's among them, is no array a bundle holds
+        code = raw_code.decode("ascii", "replace")
+        if code not in _CANONICAL_DTYPES.values():
+            raise DataError(f"bundle: {tag} array {name!r} has unsupported dtype {code!r}")
         (ndim,) = struct.unpack("<B", take(1))
         shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(ndim))
         dtype = np.dtype(code)

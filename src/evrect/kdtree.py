@@ -16,8 +16,9 @@ in the C loop of ``_native`` (a per-level numpy loop where it cannot be
 built), reading the matrix in place through a column map, so that a tree
 over a virtual projection descends the full descriptor matrix without a
 copy of the kept columns; :func:`batch_descent` prepares that walk once
-for a caller that descends one block of rows at a time.  Both batch paths
-raise DataError at a step that does not go to a later node, and
+for a caller that descends one block of rows at a time, from the checked
+:func:`node_columns`, which the pipeline's grid walk reads too.  Both batch
+paths raise DataError at a step that does not go to a later node, and
 :func:`check_tree` rejects such a tree up front, so no walk reads outside
 the tree or runs forever.
 """
@@ -25,6 +26,7 @@ the tree or runs forever.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,10 +176,11 @@ def descend_batch(tree: KdTree, queries: np.ndarray, columns=None, norm=None) ->
     return batch_descent(tree, q.shape[1], columns)(q, norm)
 
 
-def batch_descent(tree: KdTree, width: int, columns=None):
-    """:func:`descend_batch` over matrices ``width`` columns wide, with the
-    tree's node arrays checked and laid out once: returns a function of
-    ``(queries, norm=None)``, for a caller that descends many blocks."""
+def node_columns(tree: KdTree, width: int, columns=None) -> np.ndarray:
+    """The query column each node of ``tree`` reads, -1 at a leaf, for
+    queries ``width`` columns wide: tree dimension j reads column
+    ``columns[j]``, or column j when ``columns`` is None.  DataError unless
+    every column lies inside the queries."""
     if columns is None:
         if width != tree.dim:
             raise DataError(f"queries must be 2-D with {tree.dim} columns")
@@ -189,10 +192,17 @@ def batch_descent(tree: KdTree, width: int, columns=None):
         if cols.size and (cols.min() < 0 or cols.max() >= width):
             raise DataError(f"a column index lies outside the {width} query columns")
     internal = _internal_nodes(tree)
-    n = tree.n_nodes
-    # the column each node reads, -1 at a leaf
-    node_col = np.full(n, -1, dtype=np.int64)
+    node_col = np.full(tree.n_nodes, -1, dtype=np.int64)
     node_col[internal] = cols[tree.split_dim[internal]]
+    return node_col
+
+
+def batch_descent(tree: KdTree, width: int, columns=None):
+    """:func:`descend_batch` over matrices ``width`` columns wide, with the
+    tree's node arrays checked and laid out once: returns a function of
+    ``(queries, norm=None)``, for a caller that descends many blocks."""
+    node_col = node_columns(tree, width, columns)
+    n = tree.n_nodes
     native = _native.descent(node_col, tree.split_val, tree.left, tree.right, tree.leaf_index)
 
     def walk(queries: np.ndarray, norm=None) -> np.ndarray:
@@ -423,6 +433,9 @@ def dump_rom(packed: PackedTree) -> str:
     return "".join("%013x\n" % int(w) for w in packed.words)
 
 
+_HEX_WORD = re.compile("[0-9a-fA-F]{13}")
+
+
 def parse_rom(text: str, vmin: float = 0.0, vmax: float = 0.0) -> PackedTree:
     """Read :func:`dump_rom`'s hex lines back, with the split-value range
     ``[vmin, vmax]`` that the words alone do not hold.  DataError unless the
@@ -439,10 +452,11 @@ def parse_rom(text: str, vmin: float = 0.0, vmax: float = 0.0) -> PackedTree:
             continue
         if len(line) != 13:
             raise DataError(f"ROM line {lineno}: expected 13 hex digits")
-        try:
-            word = int(line, 16)
-        except ValueError:
-            raise DataError(f"ROM line {lineno}: invalid hex") from None
+        # int(line, 16) alone also takes a 0x prefix, a sign, underscores
+        # and non-ASCII digits
+        if not _HEX_WORD.fullmatch(line):
+            raise DataError(f"ROM line {lineno}: invalid hex")
+        word = int(line, 16)
         if word >> 49:
             raise DataError(f"ROM line {lineno}: word wider than 49 bits")
         words.append(word)

@@ -44,6 +44,7 @@ from .kdtree import (
     check_tree,
     descend_batch,
     harvest_dims,
+    node_columns,
     pack,
     structural_equal,
     unpack,
@@ -281,12 +282,24 @@ def _stream_leaves(
     geometry: SensorGeometry, rect_cfg: RectConfig, tree: KdTree, pca_model: PcaModel | None,
     vproj: VirtualProjection | None, filtered: EventStream, clock=nullcontext,
 ) -> np.ndarray:
-    """The leaf each filtered event reaches, a block of rows at a time.  A
-    row is normalised by the descent as it reads it; PCA divides the block
-    and projects it first; a virtual projection only names the columns the
-    tree reads, in place.  Each stage runs inside ``clock(stage)``."""
-    leaves = np.empty(len(filtered), dtype=np.int64)
+    """The leaf each filtered event reaches.  Where the descriptors are
+    neither normalised nor PCA-projected, one C call walks the tree on the
+    FIFO's pooled grid, timed as ``clock("describe")``, and builds no row.
+    Otherwise the rows are described a block at a time: a row is normalised
+    by the descent as it reads it; PCA divides the block and projects it
+    first; a virtual projection only names the columns the tree reads, in
+    place.  Each stage runs inside ``clock(stage)``."""
     columns = None if vproj is None else vproj.kept_dims
+    if pca_model is None and not rect_cfg.normalize:
+        descent = _native.descent(node_columns(tree, rect_cfg.dim, columns), tree.split_val,
+                                  tree.left, tree.right, tree.leaf_index)
+        if descent is not None:
+            filtered.check_coordinates(geometry)
+            with clock("describe"):
+                return _native.patch_blocks(filtered.x, filtered.y, geometry.n_rows,
+                                            geometry.n_cols, rect_cfg.s, rect_cfg.p, rect_cfg.q,
+                                            rect_cfg.w, 0).leaves(descent)
+    leaves = np.empty(len(filtered), dtype=np.int64)
     walk = batch_descent(tree, tree.dim if pca_model is not None else rect_cfg.dim, columns)
     for start, stop, rows, norm in _descriptor_blocks(geometry, rect_cfg, filtered, clock):
         queries = rows[: stop - start]
@@ -525,16 +538,17 @@ def window_spans(n: int, s: int) -> list[tuple[int, int]]:
 
 
 class _StageClock:
-    """Wall time summed per stage, one reading per stage per stream."""
+    """Wall time summed per stage that ran, in the order they first ran,
+    read once per stage per block."""
 
     def __init__(self) -> None:
-        self.ns = dict.fromkeys(("filter", "describe", "project", "descend", "score"), 0)
+        self.ns: dict[str, int] = {}
 
     @contextmanager
     def __call__(self, stage: str):
         start = time.perf_counter_ns()
         yield
-        self.ns[stage] += time.perf_counter_ns() - start
+        self.ns[stage] = self.ns.get(stage, 0) + time.perf_counter_ns() - start
 
 
 def _leaves(
@@ -721,6 +735,40 @@ def _json_value(obj: dict, key: str, kind: str, where: str = "META"):
     return SensorGeometry(*value) if kind == "pair" else value
 
 
+# each section array as save_bundle writes it: (tag, name) -> (dtype, dimensions)
+_ARRAYS = {
+    ("DICT", "centroids"): ("float64", 2),
+    ("TREE", "is_leaf"): ("bool", 1),
+    ("TREE", "split_dim"): ("int32", 1),
+    ("TREE", "split_val"): ("float64", 1),
+    ("TREE", "left"): ("int32", 1),
+    ("TREE", "right"): ("int32", 1),
+    ("TREE", "leaf_index"): ("int32", 1),
+    ("SVM_", "weights"): ("float64", 2),
+    ("SVM_", "bias"): ("float64", 1),
+    ("LAND", "landmarks"): ("int64", 2),
+    ("PCA_", "mean"): ("float64", 1),
+    ("PCA_", "components"): ("float64", 2),
+    ("PCA_", "eigenvalues"): ("float64", 1),
+    ("PACK", "words"): ("uint64", 1),
+}
+
+
+def _array(sections: dict[str, dict[str, np.ndarray]], tag: str, name: str) -> np.ndarray:
+    """``sections[tag][name]``, a DataError unless it has the dtype and the
+    number of dimensions of ``_ARRAYS`` and, for a float array, only finite
+    values; the tree's split values are checked per node instead, since a
+    leaf's is NaN."""
+    array = sections[tag][name]
+    dtype, ndim = _ARRAYS[tag, name]
+    if array.dtype != dtype or array.ndim != ndim:
+        raise DataError(f"{tag} {name!r} is a {array.ndim}-D {array.dtype} array: "
+                        f"expected {ndim}-D {dtype}")
+    if dtype == "float64" and name != "split_val" and not np.isfinite(array).all():
+        raise DataError(f"{tag} {name!r} holds a value that is not finite")
+    return array
+
+
 def load_bundle(data: bytes) -> TrainedPipeline:
     meta, sections = bundle_mod.read_bundle(data)
     try:
@@ -740,25 +788,20 @@ def _decode_bundle(meta: dict, sections: dict[str, dict[str, np.ndarray]]) -> Tr
     )
     class_names = tuple(_json_value(meta, "class_names", "strs"))
     feature_space = _json_value(meta, "feature_space", "str")
-    centroids = sections["DICT"]["centroids"]
-    t = sections["TREE"]
+    centroids = _array(sections, "DICT", "centroids")
     tree = KdTree(
-        is_leaf=t["is_leaf"].astype(bool),
-        split_dim=t["split_dim"].astype(np.int32),
-        split_val=t["split_val"].astype(np.float64),
-        left=t["left"].astype(np.int32),
-        right=t["right"].astype(np.int32),
-        leaf_index=t["leaf_index"].astype(np.int32),
+        *(_array(sections, "TREE", name)
+          for name in ("is_leaf", "split_dim", "split_val", "left", "right", "leaf_index")),
         points=None,
         dim=_json_value(meta, "tree_dim", "int"),
         n_points=len(centroids),
     )
     svm = SvmModel(
-        weights=sections["SVM_"]["weights"],
-        bias=sections["SVM_"]["bias"],
+        weights=_array(sections, "SVM_", "weights"),
+        bias=_array(sections, "SVM_", "bias"),
         class_names=class_names,
     )
-    landmark_rows = sections["LAND"]["landmarks"]
+    landmark_rows = _array(sections, "LAND", "landmarks")
     n_classes, k = len(class_names), len(centroids)
     n_landmarks = min(config.n_landmarks, k)
     if svm.weights.shape != (n_classes, k):
@@ -778,11 +821,8 @@ def _decode_bundle(meta: dict, sections: dict[str, dict[str, np.ndarray]]) -> Tr
 
     pca_model = None
     if "PCA_" in sections:
-        p = sections["PCA_"]
         pca_model = PcaModel(
-            mean=p["mean"],
-            components=p["components"],
-            eigenvalues=p["eigenvalues"],
+            *(_array(sections, "PCA_", name) for name in ("mean", "components", "eigenvalues")),
             energy_kept=_json_value(meta, "pca_energy_kept", "float"),
         )
         # descriptors of d = patch_w**2 values project onto the tree's d' axes
@@ -795,6 +835,8 @@ def _decode_bundle(meta: dict, sections: dict[str, dict[str, np.ndarray]]) -> Tr
     # every walk must end inside the tree, so both trees are checked here,
     # before any descent reads them
     check_tree(tree)
+    if not np.isfinite(tree.split_val[~tree.is_leaf]).all():
+        raise DataError("a split value of the tree is not finite")
     vproj = None
     if meta.get("kept_dims") is not None:
         vproj = VirtualProjection(
@@ -810,7 +852,7 @@ def _decode_bundle(meta: dict, sections: dict[str, dict[str, np.ndarray]]) -> Tr
     packed = qtree = None
     if "PACK" in sections:
         vmin, vmax = _json_value(meta, "packed_range", "range")
-        packed = PackedTree(words=sections["PACK"]["words"], vmin=vmin, vmax=vmax)
+        packed = PackedTree(words=_array(sections, "PACK", "words"), vmin=vmin, vmax=vmax)
         qtree = unpack(packed, tree.dim)
         check_tree(qtree)
         if qtree.n_points != tree.n_points:

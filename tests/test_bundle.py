@@ -97,6 +97,23 @@ def test_unsupported_dtype_rejected():
         write_bundle({}, {"ABCD": {"a": np.zeros(3, dtype=np.complex128)}})
 
 
+@pytest.mark.parametrize("code, name", [("<c16", b"a"), ("|O", b"a"), ("float64", b"a"), ("<f8", b"\xff")])
+def test_array_of_another_dtype_code_or_a_binary_name_rejected(code, name):
+    """Only the dtype codes write_bundle writes are read back: numpy would
+    also take a complex or an object code (an object array ended in a
+    ValueError traceback)."""
+    import struct
+
+    raw = code.encode("ascii")
+    payload = (struct.pack("<H", len(name)) + name + struct.pack("<H", len(raw)) + raw
+               + struct.pack("<BQ", 1, 1) + b"\x00" * 16)
+    meta = b"{}"
+    data = (b"EVRB" + struct.pack("<I", 1) + b"META" + struct.pack("<Q", len(meta)) + meta
+            + b"ARRS" + struct.pack("<Q", len(payload)) + payload)
+    with pytest.raises(DataError, match="unsupported dtype" if name == b"a" else "not UTF-8"):
+        read_bundle(data)
+
+
 def test_text_export_lossless_floats(rng):
     arr = np.asarray([1.0 / 3.0, -0.0, 2.5e-300])
     data = write_bundle({"kind": "t"}, {"ABCD": {"vals": arr}})

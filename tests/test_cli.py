@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -495,6 +496,80 @@ def test_bundle_config_fuzz(float_bundle, hw_bundle, probe_csv, cases):
     for case, (code, err) in zip(cases, results):
         assert "Traceback" not in err, (case, err)
         assert code == 0 or (code == 2 and err.startswith("error: bundle:")), (case, code, err)
+
+
+_ARRAY_EDITS = st.one_of(
+    st.tuples(st.just("dtype"), st.sampled_from(["float64", "float32", "int64", "int32", "uint64", "bool"]),
+              st.just(0)),
+    st.tuples(st.just("shape"), st.sampled_from(["short", "long", "flat", "wide", "scalar", "empty"]),
+              st.just(0)),
+    st.tuples(st.just("value"), st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+              st.integers(0, 2**16)),
+    # a child, leaf or landmark id: just inside or outside a k = 8 model's
+    # ranges, or past what a packed field or int32 holds
+    st.tuples(st.just("id"), st.one_of(st.integers(-2, 20), st.sampled_from([4095, 2**31 - 1, 2**40])),
+              st.integers(0, 2**16)),
+)
+
+
+def _edited_array(array, op, arg, at):
+    """``array`` with one edit: its dtype swapped, its shape changed, one
+    value made NaN or infinite (a float array in place of an integer one),
+    or one id set to ``arg``: in a PACK word, its left, right or leaf field."""
+    a = array.copy()
+    if op == "dtype":
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return a.astype(arg)
+    if op == "shape":
+        return {"short": lambda: a[:-1], "long": lambda: np.concatenate([a, a[:1]]),
+                "flat": a.ravel, "wide": lambda: a[..., None],
+                "scalar": lambda: a.reshape(-1)[:1].reshape(()), "empty": lambda: a[:0]}[arg]()
+    if op == "value" and a.dtype.kind != "f":
+        a = a.astype(np.float64)
+    flat = a.reshape(-1)
+    i = at % flat.size
+    if op == "value":
+        flat[i] = arg
+    elif a.dtype == np.uint64:
+        shift = (12, 24, 36)[at % 3]
+        flat[i] = (flat[i] & ~np.uint64(0xFFF << shift)) | np.uint64((arg % 4096) << shift)
+    else:
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            flat[i] = np.asarray(arg).astype(a.dtype)
+    return a
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cases=st.lists(st.tuples(st.sampled_from(["float", "hw", "pca"]), st.integers(0, 63), _ARRAY_EDITS),
+                      min_size=12, max_size=12))
+def test_bundle_section_array_fuzz(float_bundle, hw_bundle, pca_bundle, probe_csv, cases):
+    """One edit to one array of a bundle's model sections: exit 0, or exit 2
+    that blames the bundle, and never a traceback.  A 0-d array, a 2-D tree
+    array, float ROM words and a NaN landmark each ended in a traceback."""
+    from evrect.bundle import write_bundle
+
+    blobs = {"float": float_bundle, "hw": hw_bundle, "pca": pca_bundle}
+    blobs = {name: path.read_bytes() for name, path in blobs.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths, edits = [], []
+        for i, (name, which, (op, arg, at)) in enumerate(cases):
+            meta, sections = read_bundle(blobs[name])
+            arrays = sorted((t, k) for t in sections for k in sections[t])
+            tag, key = arrays[which % len(arrays)]
+            sections[tag][key] = _edited_array(sections[tag][key], op, arg, at)
+            edits.append((name, tag, key, op, arg))
+            paths.append(Path(tmp) / f"{i}.evrb")
+            paths[-1].write_bytes(write_bundle(meta, sections))
+        proc = subprocess.run([sys.executable, "-c", _CLASSIFY_EACH, str(probe_csv), *map(str, paths)],
+                              capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(cases)
+    for edit, (code, err) in zip(edits, results):
+        assert "Traceback" not in err, (edit, err)
+        assert code == 0 or (code == 2 and err.startswith("error: bundle:")), (edit, code, err)
 
 
 @pytest.mark.parametrize("command", ["train", "filter", "classify"])

@@ -257,6 +257,12 @@ def test_parse_rom_errors():
         parse_rom("abc\n")
     with pytest.raises(DataError, match="invalid hex"):
         parse_rom("zzzzzzzzzzzzz\n")
+    # forms int(_, 16) takes: a 0x prefix, an underscore, a leading +, and
+    # a non-ASCII digit (ARABIC-INDIC DIGIT ZERO)
+    for line in ("0x00000000001", "00000_0000001", "+000000000001", "000000000000\u0660"):
+        assert len(line) == 13 and int(line, 16) < 1 << 49
+        with pytest.raises(DataError, match="ROM line 1: invalid hex"):
+            parse_rom(line + "\n")
     with pytest.raises(DataError, match="49 bits"):
         parse_rom("fffffffffffff\n")
     with pytest.raises(DataError, match="empty"):

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evrect import _native
+from evrect import _native, pipeline
 from evrect.errors import DataError
-from evrect.events import EventStream, SensorGeometry
-from evrect.filtering import FilterConfig, cascade
+from evrect.events import MAX_TIMESTAMP, EventStream, SensorGeometry
+from evrect.filtering import CascadeFilter, FilterConfig, cascade
 from evrect.kdtree import (
     KdTree,
     VirtualProjection,
@@ -99,6 +99,39 @@ def test_cascade_native_equals_python(case):
     with python_kernels():
         want = cascade(stream, cfg)
     assert _columns(got) == _columns(want)
+
+
+def _every_cell_stream(rows, cols, t0, jump):
+    """Every pixel fires, corners and borders included, in row order, then
+    in reverse, then in row order again, 0, 1 or 2 us apart from t0 on
+    (a neighbour in the same microsecond passes a 1 us threshold);
+    with ``jump``, the same again from near the largest timestamp."""
+    cells = [(x, y) for y in range(rows) for x in range(cols)]
+    order = cells + cells[::-1] + cells
+    ts = t0 + np.cumsum([(0, 1, 0, 2)[i % 4] for i in range(len(order))])
+    if jump:
+        order = order + order
+        ts = np.concatenate([ts, MAX_TIMESTAMP - 200 + ts - t0])
+    return EventStream(SensorGeometry(n_rows=rows, n_cols=cols), [x for x, _ in order],
+                       [y for _, y in order], np.asarray(ts, dtype=np.int64), np.zeros(len(order)))
+
+
+@pytest.mark.parametrize("theta_noise", [1, MAX_TIMESTAMP])
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 6), (6, 1), (3, 3)])
+def test_cascade_on_border_cells_and_extreme_timestamps(rows, cols, theta_noise):
+    """The bordered noise map against CascadeFilter, on sensors whose every
+    pixel is a border or corner pixel, from timestamp 0 and from near
+    2^63 - 1, where a never-fired neighbour's gap overflows int64."""
+    cfg = FilterConfig(theta_noise_us=theta_noise, theta_ref_us=1)
+    for t0, jump in ((0, True), (MAX_TIMESTAMP - 100, False)):
+        stream = _every_cell_stream(rows, cols, t0, jump)
+        push = CascadeFilter(stream.geometry, cfg).push
+        want = [i for i, (x, y, t) in enumerate(zip(*_columns(stream)[:3])) if push(x, y, t)]
+        got = cascade(stream, cfg)
+        assert got.t.tolist() == stream.t[want].tolist()
+        assert _columns(got) == _columns(stream.slice(np.asarray(want, dtype=np.int64)))
+        # a lone pixel has no neighbours; every other sensor keeps something
+        assert (len(want) == 0) == (rows * cols == 1)
 
 
 @st.composite
@@ -294,3 +327,53 @@ def test_unwalkable_tree_is_a_data_error_on_both_paths(bad):
     worker.join(timeout=60)
     assert not worker.is_alive(), "a walk did not end"
     assert outcomes["native"] == outcomes["python"] == [[0, 0], _native.BAD_STEP, _native.BAD_STEP]
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_RIGHT_CHILD))
+def test_grid_walk_of_an_unwalkable_tree_is_a_data_error(bad):
+    if _native.load() is None:
+        pytest.skip("no kernels: the grid walk is not built")
+    tree = _hand_tree([1, -1, 3, -1], [2, -1, BAD_RIGHT_CHILD[bad], -1])
+    geometry = SensorGeometry(n_rows=4, n_cols=4)
+    stream = EventStream(geometry, [0, 1], [0, 0], [0, 5], [0, 1])
+    rect_cfg = RectConfig(s=4, p=1, q=1, w=1, normalize=False)
+    outcome = []
+
+    def walk():
+        # every count is > 0, so the walk goes right twice: to node 2, then off it
+        try:
+            outcome.append(pipeline._stream_leaves(geometry, rect_cfg, tree, None, None, stream))
+        except DataError as exc:
+            outcome.append(str(exc))
+
+    worker = threading.Thread(target=walk, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "a walk did not end"
+    assert outcome == [_native.BAD_STEP]
+
+
+@pytest.mark.parametrize("p, q", [(3, 1), (2, 3), (3, 3)])
+def test_grid_walk_reads_the_table_up_to_the_fifo_capacity(p, q):
+    """A one-split tree on the patch centre, split just below s / (p q): an
+    event goes right exactly when its own pooled cell holds all s events
+    of the FIFO, the table's last entry."""
+    s, w = 5, 3
+    geometry = SensorGeometry(n_rows=9, n_cols=9)
+    rect_cfg = RectConfig(s=s, p=p, q=q, w=w, normalize=False)
+    # bursts of 1 to 7 events on one pixel, between events elsewhere
+    xs, ys = [], []
+    for burst in range(1, 8):
+        xs += [4] * burst + [0, 8]
+        ys += [4] * burst + [8, 0]
+    stream = EventStream(geometry, xs, ys, np.arange(len(xs)), np.zeros(len(xs)))
+    centre = w * w // 2
+    tree = KdTree(np.array([False, True, True]), np.array([centre, -1, -1], dtype=np.int32),
+                  np.array([(s - 1) / (p * q), np.nan, np.nan]), np.array([1, -1, -1], dtype=np.int32),
+                  np.array([2, -1, -1], dtype=np.int32), np.array([-1, 0, 1], dtype=np.int32),
+                  None, w * w, 2)
+    rows, _ = extract_stream_descriptors(geometry, rect_cfg, stream)
+    want = [int(r[centre] * (p * q) == s) for r in rows]
+    assert sum(want) == 1 + 2 + 3 and want == [descend(tree, r) for r in rows]
+    for got in _both_paths(lambda: pipeline._stream_leaves(geometry, rect_cfg, tree, None, None, stream)):
+        assert got.tolist() == want

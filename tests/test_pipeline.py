@@ -407,6 +407,18 @@ def _frac_bits_past_40(meta, sections):
     meta["config"]["frac_bits"] = 41
 
 
+def _infinite_weight(meta, sections):
+    sections["SVM_"]["weights"][0, 0] = np.inf
+
+
+def _nan_split(meta, sections):
+    sections["TREE"]["split_val"][0] = np.nan
+
+
+def _int64_children(meta, sections):
+    sections["TREE"]["left"] = sections["TREE"]["left"].astype(np.int64)
+
+
 # the message each edit must give, after "bundle: "
 BUNDLE_EDITS = {
     "leaf ids are not a permutation": _repeat_a_leaf_id,
@@ -419,6 +431,9 @@ BUNDLE_EDITS = {
     "reads 25-value descriptors, not 49": _wider_patch,
     "hardware profile without a packed tree": _drop_the_rom,
     "frac_bits outside": _frac_bits_past_40,
+    "SVM_ 'weights' holds a value that is not finite": _infinite_weight,
+    "a split value of the tree is not finite": _nan_split,
+    "TREE 'left' is a 1-D int64 array: expected 1-D int32": _int64_children,
 }
 
 
@@ -470,7 +485,14 @@ def _check_stage_times(report, tp, stream):
     assert report.kernels == ("python" if _native.load() is None else "native")
     assert f"kernels          : {report.kernels}" in report.as_text()
     assert report.accepted_events == len(cascade(stream, tp.config.filter_cfg))
-    assert set(report.stage_us) == {"filter", "describe", "project", "descend", "score"}
+    # rows that are neither normalised nor projected are not built: the C
+    # grid walk describes and descends in one call, timed as describe
+    grid_walk = (report.kernels == "native" and tp.pca_model is None
+                 and not tp.config.rect_cfg.normalize)
+    if grid_walk:
+        assert set(report.stage_us) == {"filter", "describe", "score"}
+    else:
+        assert set(report.stage_us) == {"filter", "describe", "project", "descend", "score"}
     assert all(us > 0 for us in report.stage_us.values())
     stage_seconds = sum(report.stage_us.values()) * report.n_events / 1e6
     assert stage_seconds <= report.total_seconds
@@ -544,20 +566,35 @@ def _blocked_leaves(tp, rect_cfg, stream, profile):
                                        tp.pca_model, tp.vproj, stream)
 
 
+# (s, p, q): FIFO capacities below, at and above the longest stream's
+# length, and pools of areas 9, 6 and 4
+FIFO_POOLS = ((1, 3, 3), (BLOCK // 3, 2, 3), (2 * BLOCK + 5, 3, 3), (LENGTHS[-1], 2, 3),
+              (10**12, 2, 2))
+
+
+def _one_pixel_events(geometry, n):
+    """n events on one pixel, whose pooled cell reaches a count of min(s, n):
+    the last entry of the count -> value table."""
+    return EventStream(geometry, np.full(n, geometry.n_cols // 2), np.full(n, geometry.n_rows // 2),
+                       np.arange(n), np.zeros(n))
+
+
 @pytest.mark.parametrize("model", ["vpca", "pca", "none", "vpca-hardware", "pca-hardware"])
 def test_blocked_leaves_equal_whole_matrix_descent(block_models, model):
+    """Both describe paths, the blocked rows and (for rows neither normalised
+    nor projected) the grid walk, against a descent of the whole matrix."""
     tp, profiles = block_models[model]
     events = _random_events(tp.config.geometry, LENGTHS[-1])
-    for s in (1, BLOCK // 3, 2 * BLOCK + 5):
+    one_pixel = _one_pixel_events(tp.config.geometry, LENGTHS[-1])
+    for s, p, q in FIFO_POOLS:
         for normalize in (True, False):
-            rect_cfg = dataclasses.replace(tp.config.rect_cfg, s=s, normalize=normalize)
-            for n in LENGTHS:
-                stream = _prefix(events, n)
+            rect_cfg = dataclasses.replace(tp.config.rect_cfg, s=s, p=p, q=q, normalize=normalize)
+            for stream in [_prefix(events, n) for n in LENGTHS] + [one_pixel]:
                 for profile in profiles:
                     got = _blocked_leaves(tp, rect_cfg, stream, profile)
                     want = _whole_matrix_leaves(tp, rect_cfg, stream, profile)
                     assert got.dtype == np.int64
-                    assert np.array_equal(got, want), (s, normalize, n, profile)
+                    assert np.array_equal(got, want), (s, p, q, normalize, len(stream), profile)
     # without the kernels the whole matrix is one block
     rect_cfg = dataclasses.replace(tp.config.rect_cfg, s=BLOCK // 3)
     with pytest.MonkeyPatch.context() as mp:

@@ -134,7 +134,12 @@ def export_stream(
     if fixed_point:
         if not 1 <= frac_bits <= 40:
             raise DataError("frac_bits outside [1, 40]")
-        w = np.rint(w * (1 << frac_bits)).astype(np.int64)
+        w = np.rint(w * (1 << frac_bits))
+        # a full window sums window_size columns, so that sum must fit too
+        peak = np.abs(w).max()
+        if not np.isfinite(peak) or int(peak) > np.iinfo(np.int64).max // window_size:
+            raise DataError(f"fixed-point weights overflow a {window_size}-event window sum")
+        w = w.astype(np.int64)
     return StreamModel(
         weights=w,
         window_size=window_size,

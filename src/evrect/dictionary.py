@@ -189,15 +189,16 @@ def accumulate(tree: KdTree, descriptors: np.ndarray, window_size: int) -> list[
     return windows_from_leaves(leaves, tree.n_points, window_size)
 
 
+def window_spans(n: int, s: int) -> list[tuple[int, int]]:
+    """Non-overlapping [start, end) windows; s = 0 means one whole-span window."""
+    if n == 0:
+        return []
+    if s == 0:
+        return [(0, n)]
+    return [(i, i + s) for i in range(0, n - s + 1, s)]
+
+
 def windows_from_leaves(leaves: np.ndarray, k: int, window_size: int) -> list[Histogram]:
     """Window the precomputed leaf-index sequence (see accumulate)."""
-    if window_size == 0:
-        if len(leaves) == 0:
-            return []
-        counts = np.bincount(leaves, minlength=k)
-        return [Histogram(counts=counts, window_size=len(leaves))]
-    out = []
-    for s in range(0, len(leaves) - window_size + 1, window_size):
-        counts = np.bincount(leaves[s : s + window_size], minlength=k)
-        out.append(Histogram(counts=counts, window_size=window_size))
-    return out
+    return [Histogram(counts=np.bincount(leaves[start:end], minlength=k), window_size=end - start)
+            for start, end in window_spans(len(leaves), window_size)]

@@ -6,25 +6,19 @@ files.  Each file is one recording and receives one label, so
 classification uses one whole-stream histogram per file (window size 0)
 rather than fixed event windows.
 
-Files are processed lazily one at a time; only sampled descriptors and
-per-file histograms stay in memory.
+Training is :func:`evrect.pipeline.train_filtered` over :class:`Recordings`,
+which reads and filters the files lazily, one at a time, on each of its two
+passes; only sampled descriptors and per-file histograms stay in memory.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
-from . import pca as pca_mod
-from .classifier import classify_batch, train as svm_train
-from .dictionary import learn
 from .errors import DataError
-from .events import NMNIST_GEOMETRY, parse_nmnist_bin
+from .events import NMNIST_GEOMETRY, EventStream, parse_nmnist_bin
 from .filtering import FilterConfig, cascade
-from .kdtree import build, descend_batch
-from .pipeline import extract_stream_descriptors
-from .rect import RectConfig
+from .pipeline import PipelineConfig, run_classify, train_filtered
 
 
 def discover(root: str | Path, split: str, limit_per_class: int | None = None) -> list[tuple[str, Path]]:
@@ -43,13 +37,31 @@ def discover(root: str | Path, split: str, limit_per_class: int | None = None) -
     return out
 
 
-def _file_descriptors(path: Path, filter_cfg: FilterConfig, rect_cfg: RectConfig) -> np.ndarray:
-    stream = parse_nmnist_bin(path.read_bytes())
-    filtered = cascade(stream, filter_cfg)
-    if len(filtered) == 0:
-        return np.empty((0, rect_cfg.dim), dtype=np.float64)
-    desc, _ = extract_stream_descriptors(NMNIST_GEOMETRY, rect_cfg, filtered)
-    return desc
+def read_recording(path: Path) -> EventStream:
+    """One recording, every pixel inside the sensor; a DataError names its
+    file."""
+    try:
+        stream = parse_nmnist_bin(path.read_bytes())
+        stream.check_coordinates()
+        return stream
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+class Recordings:
+    """(label, filtered stream) pairs of ``files``, each file read and
+    filtered again on every pass."""
+
+    def __init__(self, files: list[tuple[str, Path]], filter_cfg: FilterConfig) -> None:
+        self.files = files
+        self.filter_cfg = filter_cfg
+
+    def __len__(self) -> int:
+        return len(self.files)
+
+    def __iter__(self):
+        for label, path in self.files:
+            yield label, cascade(read_recording(path), self.filter_cfg)
 
 
 def run_benchmark(
@@ -57,7 +69,7 @@ def run_benchmark(
     k: int = 3000,
     energy: float = 0.95,
     seed: int = 0,
-    sample_cap: int = 200_000,
+    sample_cap: int = 180_000,
     limit_train: int | None = None,
     limit_test: int | None = None,
     svm_lambda: float = 1e-4,
@@ -67,75 +79,34 @@ def run_benchmark(
     """Train on Train/, score on Test/, return accuracy and stage stats.
 
     limit_train / limit_test cap the number of files per class for
-    shortened runs; None uses every file.
+    shortened runs; None uses every file.  The training pipeline draws
+    ``sample_cap // n`` descriptors from each of the n training files, and
+    one more from each of the first ``sample_cap % n``.
     """
     say = log or (lambda msg: None)
-    filter_cfg = FilterConfig()
-    rect_cfg = RectConfig()
+    config = PipelineConfig(
+        geometry=NMNIST_GEOMETRY, pca_mode="pca", pca_energy=energy, k=k, s_window=0, seed=seed,
+        sample_cap=sample_cap, svm_lambda=svm_lambda, svm_epochs=svm_epochs,
+    )
     train_files = discover(root, "Train", limit_train)
     test_files = discover(root, "Test", limit_test)
     say(f"{len(train_files)} training files, {len(test_files)} test files")
-
-    rng = np.random.default_rng(seed)
-    quota = max(1, sample_cap // len(train_files))
-    sampled: list[np.ndarray] = []
-    for _, path in train_files:
-        desc = _file_descriptors(path, filter_cfg, rect_cfg)
-        if len(desc) == 0:
-            continue
-        take = min(quota, len(desc))
-        rows = rng.choice(len(desc), size=take, replace=False)
-        sampled.append(desc[np.sort(rows)])
-    if not sampled:
-        raise DataError("no descriptors sampled from the training split")
-    samples = np.concatenate(sampled, axis=0)
-    say(f"sampled {len(samples)} descriptors")
-
-    model = pca_mod.fit(samples, energy=energy)
-    say(f"pca kept {model.n_components} dims ({model.energy_kept:.4f} energy)")
-    dictionary = learn(pca_mod.project(model, samples), k, seed=seed, feature_space="pca-rect")
-    tree = build(dictionary.centroids)
-    say(f"dictionary {dictionary.k}, tree depth {tree.depth}")
-
-    def histogram_of(path: Path) -> np.ndarray | None:
-        desc = _file_descriptors(path, filter_cfg, rect_cfg)
-        if len(desc) == 0:
-            return None
-        leaves = descend_batch(tree, pca_mod.project(model, desc))
-        return np.bincount(leaves, minlength=tree.n_points)
-
-    hists = np.zeros((len(train_files), tree.n_points), dtype=np.float32)
-    labels: list[str] = []
-    kept_rows = 0
-    for label, path in train_files:
-        h = histogram_of(path)
-        if h is None:
-            continue
-        hists[kept_rows] = h
-        labels.append(label)
-        kept_rows += 1
-    hists = hists[:kept_rows]
-    say(f"{kept_rows} training histograms")
-
-    svm = svm_train(hists, labels, lam=svm_lambda, epochs=svm_epochs, seed=seed)
+    tp = train_filtered(config, Recordings(train_files, config.filter_cfg), say)
 
     correct = 0
     scored = 0
     for label, path in test_files:
-        h = histogram_of(path)
-        if h is None:
-            continue
-        predicted, _ = classify_batch(svm, h[None, :])
-        scored += 1
-        if predicted[0] == label:
-            correct += 1
+        windows = run_classify(tp, read_recording(path))
+        if windows:  # a file the filter empties has no window and is not scored
+            scored += 1
+            correct += windows[0].label == label
     accuracy = correct / scored if scored else 0.0
     say(f"test accuracy {accuracy:.4f} over {scored} files")
     return {
         "accuracy": accuracy,
-        "n_train": kept_rows,
+        "n_train": tp.stats["training_histograms"],
         "n_test": scored,
-        "pca_dims": model.n_components,
-        "dictionary_k": dictionary.k,
-        "tree_depth": tree.depth,
+        "pca_dims": tp.stats["pca_dims_kept"],
+        "dictionary_k": tp.stats["dictionary_k"],
+        "tree_depth": tp.stats["tree_depth"],
     }

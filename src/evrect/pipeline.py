@@ -31,7 +31,7 @@ from .classifier import (
     train as svm_train,
 )
 from .detector import DetectorModel, compute_stats, heat_spot, select_landmarks
-from .dictionary import Dictionary, learn, windows_from_leaves
+from .dictionary import Dictionary, learn, window_spans, windows_from_leaves
 from .errors import CapacityError, DataError
 from .events import EventStream, SensorGeometry
 from .filtering import FilterConfig, cascade
@@ -230,8 +230,8 @@ def extract_stream_descriptors(
     ``"native"`` (the C patch copy, then the normalization in numpy) or
     ``"python"`` (a :class:`RectState` replay).  Both give the same bits.
     Training, classify and detect describe a block of rows at a time
-    instead (:func:`_descriptor_blocks`); this whole matrix serves the
-    N-MNIST benchmark, checks and tests."""
+    instead (:func:`_descriptor_blocks`); this whole matrix serves their
+    fallback, checks and tests."""
     filtered.check_coordinates(geometry)
     n = len(filtered)
     blocks = _native.patch_blocks(filtered.x, filtered.y, geometry.n_rows, geometry.n_cols,
@@ -369,34 +369,43 @@ def train_pipeline(
     labeled_streams: list[tuple[str, EventStream]],
     log=None,
 ) -> TrainedPipeline:
-    """Run the full learning stage over labeled event streams."""
+    """Run the full learning stage over labeled event streams, filtered
+    once and held in memory (see :func:`train_filtered`)."""
     say = log or (lambda msg: None)
-    if not labeled_streams:
-        raise DataError("no training streams")
-    rng = np.random.default_rng(config.seed)
-    stats: dict = {}
-
     with _stage("filter"):
         filtered = [(label, cascade(stream, config.filter_cfg)) for label, stream in labeled_streams]
-    n_events = sum(len(s) for _, s in filtered)
-    stats["filtered_events"] = n_events
-    say(f"filtered {n_events} events from {len(filtered)} streams")
-    if n_events == 0:
-        raise DataError("filtering removed every event")
+    say(f"filtered {sum(len(s) for _, s in filtered)} events from {len(filtered)} streams")
+    return train_filtered(config, filtered, say)
+
+
+def train_filtered(config: PipelineConfig, streams, log=None) -> TrainedPipeline:
+    """The learning stage over ``streams``, a sized re-iterable of (label,
+    filtered stream) pairs that is read in two passes, so that a source may
+    read its recordings again instead of holding them: pass 1 samples the
+    descriptors and counts the events, windows and classes; pass 2 descends
+    every event into the training histograms."""
+    say = log or (lambda msg: None)
+    if len(streams) == 0:
+        raise DataError("no training streams")
+    rng = np.random.default_rng(config.seed)
 
     # pass 1: sample descriptors for subspace and dictionary learning
-    quota_base = config.sample_cap // len(filtered)
-    quota_extra = config.sample_cap % len(filtered)
+    quota_base, quota_extra = divmod(config.sample_cap, len(streams))
+    n_events = n_windows = 0
+    labels: set[str] = set()
     sampled: list[np.ndarray] = []
     with _stage("descriptor sampling"):
-        for i, (_, stream) in enumerate(filtered):
-            if len(stream) == 0:
-                continue
-            quota = quota_base + (1 if i < quota_extra else 0)
-            take = min(quota, len(stream))
+        for i, (label, stream) in enumerate(streams):
+            labels.add(label)
+            n_events += len(stream)
+            n_windows += len(window_spans(len(stream), config.s_window))
+            take = min(quota_base + (1 if i < quota_extra else 0), len(stream))
             if take:
                 rows = np.sort(rng.choice(len(stream), size=take, replace=False))
                 sampled.append(_sample_rows(config.geometry, config.rect_cfg, stream, rows))
+    stats: dict = {"filtered_events": n_events}
+    if n_events == 0:
+        raise DataError("filtering removed every event")
     if not sampled:
         raise DataError("descriptor sampling: sample cap too small to draw anything")
     samples = np.concatenate(sampled, axis=0)
@@ -449,34 +458,34 @@ def train_pipeline(
     say(f"tree depth {tree.depth} over {tree.n_points} entries")
 
     # pass 2: descend every training event, window into histograms
-    hists: list[np.ndarray] = []
+    hists = np.empty((n_windows, tree.n_points), dtype=np.float64)
     hist_labels: list[str] = []
-    class_names = tuple(sorted({label for label, _ in filtered}))
+    class_names = tuple(sorted(labels))
     per_class_counts = {name: np.zeros(tree.n_points, dtype=np.int64) for name in class_names}
     with _stage("histogram accumulation"):
-        for label, stream in filtered:
+        for label, stream in streams:
             if len(stream) == 0:
                 continue
             leaves = _stream_leaves(config.geometry, config.rect_cfg, tree, pca_model, vproj, stream)
             per_class_counts[label] += np.bincount(leaves, minlength=tree.n_points)
             for h in windows_from_leaves(leaves, tree.n_points, config.s_window):
-                hists.append(h.counts)
+                hists[len(hist_labels)] = h.counts
                 hist_labels.append(label)
-    if not hists:
+    if not hist_labels:
         raise DataError("histogram accumulation: no stream filled a full window")
-    stats["training_histograms"] = len(hists)
-    say(f"{len(hists)} training histograms over {len(class_names)} classes")
+    stats["training_histograms"] = len(hist_labels)
+    say(f"{len(hist_labels)} training histograms over {len(class_names)} classes")
 
     with _stage("svm training"):
         svm = svm_train(
-            np.asarray(hists, dtype=np.float64),
+            hists,
             hist_labels,
             lam=config.svm_lambda,
             epochs=config.svm_epochs,
             seed=config.seed,
             class_names=class_names,
         )
-    predicted, _ = classify_batch(svm, np.asarray(hists, dtype=np.float64))
+    predicted, _ = classify_batch(svm, hists)
     train_acc = float(np.mean([p == l for p, l in zip(predicted, hist_labels)]))
     stats["training_accuracy"] = train_acc
     say(f"training accuracy {train_acc:.4f}")
@@ -526,15 +535,6 @@ def train_pipeline(
         stream_model=stream_model,
         stats=stats,
     )
-
-
-def window_spans(n: int, s: int) -> list[tuple[int, int]]:
-    """Non-overlapping [start, end) windows; s = 0 means one whole-span window."""
-    if n == 0:
-        return []
-    if s == 0:
-        return [(0, n)]
-    return [(i, i + s) for i in range(0, n - s + 1, s)]
 
 
 class _StageClock:

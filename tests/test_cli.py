@@ -258,7 +258,8 @@ def _model_mutants(blob):
     commands that used to fail on it): a short weight matrix and an
     out-of-range landmark ended in a traceback, a 1-element bias (broadcast
     over both classes) gave wrong scores, and a changed split code in the
-    ROM made the hardware profile silently descend another tree."""
+    ROM made the hardware profile silently descend another tree.  A huge but
+    finite SVM weight overflowed the fixed-point scores."""
     from evrect.bundle import write_bundle
 
     def edited(section, key, edit):
@@ -283,6 +284,10 @@ def _model_mutants(blob):
                               [("detect", "--target", "bar")]),
         "PACK split code": (edited("PACK", "words", set_at(inner, recoded)),
                             [("classify", "--profile", p) for p in ("float", "hardware")]),
+        # the fixed-point cast gave int64 min with only a RuntimeWarning
+        "SVM weight 1e300": (edited("SVM_", "weights", set_at((0, 0), 1e300)), classify),
+        # each fixed-point weight fits int64, but a full window's sum wrapped
+        "SVM weight 3e12": (edited("SVM_", "weights", set_at((0, 0), 3e12)), classify),
     }
 
 

@@ -1,11 +1,16 @@
 """Tests for the digit-dataset directory walker and benchmark runner,
 using small fabricated binary recordings."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import evrect.nmnist
 from evrect.errors import DataError
-from evrect.nmnist import discover, run_benchmark
+from evrect.events import NMNIST_GEOMETRY
+from evrect.nmnist import Recordings, discover, read_recording, run_benchmark
+from evrect.pipeline import PipelineConfig, save_bundle, train_filtered, train_pipeline
 
 
 def encode_records(events):
@@ -90,3 +95,46 @@ def test_benchmark_separates_line_orientations(dataset_root):
     assert result["tree_depth"] >= 1
     assert result["accuracy"] >= 0.75
     assert any("test accuracy" in m for m in messages)
+
+
+def test_lazy_recordings_train_the_in_memory_bundle(dataset_root):
+    """Files read again on each of training's two passes give the bundle
+    that the same recordings give as a list."""
+    config = PipelineConfig(geometry=NMNIST_GEOMETRY, pca_mode="pca", k=8, s_window=0,
+                            sample_cap=1998, svm_epochs=30)
+    files = discover(dataset_root, "Train")
+    lazy = train_filtered(config, Recordings(files, config.filter_cfg))
+    in_memory = train_pipeline(config, [(label, read_recording(path)) for label, path in files])
+    assert save_bundle(lazy) == save_bundle(in_memory)
+
+
+def test_benchmark_reads_training_files_twice_and_test_files_once(dataset_root, monkeypatch):
+    reads = Counter()
+    parse = evrect.nmnist.parse_nmnist_bin
+
+    def counted(data):
+        reads[data] += 1
+        return parse(data)
+
+    monkeypatch.setattr(evrect.nmnist, "parse_nmnist_bin", counted)
+    run_benchmark(dataset_root, k=8, sample_cap=1998, svm_epochs=5)
+    expected = Counter()
+    for split, times in (("Train", 2), ("Test", 1)):
+        for _, path in discover(dataset_root, split):
+            expected[path.read_bytes()] += times
+    assert reads == expected
+
+
+@pytest.mark.parametrize("split", ["Train", "Test"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda data: data[:-2], "truncated record"),
+     (lambda data: bytes([40]) + data[1:], r"coordinate \(40,\d+\) outside 34x34 sensor")],
+    ids=["truncated", "pixel outside"],
+)
+def test_bad_recording_names_its_file(dataset_root, split, edit, message):
+    bad = dataset_root / split / "7" / "00000.bin"
+    bad.write_bytes(edit(bad.read_bytes()))
+    with pytest.raises(DataError, match=message) as info:
+        run_benchmark(dataset_root, k=8, sample_cap=1998, svm_epochs=5)
+    assert str(bad) in str(info.value)

@@ -18,12 +18,17 @@
  * before calling.  The parse accepts only the canonical form and leaves all
  * other text, and every error, to the line parser in events.py.
  *
- * Two more serve k-means (dictionary.py): the nearest centre per row of a
- * product block, and the per-cluster sums.  They repeat the numpy steps
- * they replace operation for operation, in the same order, so their
- * results are the same bits; the build turns off FMA contraction so that
- * gcc keeps every rounding step.
+ * Four more serve k-means (dictionary.py): the nearest centre per row of a
+ * product block, the distance to a row's own centre from a product with
+ * some of the centres, the pass over Hamerly's bounds that picks the rows
+ * whose label a step must recompute, and the per-cluster sums.  The first
+ * two write through an index per block row, so that a block of gathered
+ * rows lands in place.  Where they repeat numpy steps, they do so
+ * operation for operation, in the same order, so their results are the
+ * same bits; the build turns off FMA contraction so that gcc keeps every
+ * rounding step.  The bounds are rounded outward, as dictionary.py proves.
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -232,28 +237,95 @@ int evrect_descend(int64_t n, const double *rows, int64_t width, const double *n
     return 0;
 }
 
-/* Row i of the n x k block `prod` holds x_i . c_j.  With v_j = prod[i][j]
- * * -2.0 + c2[j], label[i] is the first j of least v_j (the first NaN when
- * there is one, as np.argmin picks) and best[i] = max(v + x2[i], 0), NaN
- * kept. */
-void evrect_nearest(int64_t n, int64_t k, const double *prod, const double *c2,
-                    const double *x2, int64_t *label, double *best)
+/* Hamerly's bounds are rounded outward after each operation by a factor of
+ * 1 +- 2^-50, which covers the few 2^-53 roundings of the operations before
+ * it (dictionary.py gives the whole argument). */
+#define WIDEN 0x1p-50
+
+static double upper_bound(double best, double eps)
 {
-    for (int64_t i = 0; i < n; i++) {
-        const double *row = prod + i * k;
-        int64_t bj = 0;
-        double bv = row[0] * -2.0 + c2[0];
+    return sqrt(best + eps) * (1.0 + WIDEN);
+}
+
+/* Row r of the n x k block `prod` holds x_i . c_j for sample i = idx[r].
+ * With v_j = prod[r][j] * -2.0 + c2[j], label[i] is the first j of least v_j
+ * (the first NaN when there is one, as np.argmin picks) and best[i] =
+ * max(v + x2[i], 0), NaN kept.  upper[i] bounds |x_i - c_label| from above
+ * and lower[i] bounds the distance to every other centre from below: from
+ * best and from the second least v_j, each widened by `eps`, the bound on
+ * the rounding of v_j + x2[i]; a NaN bound proves nothing. */
+void evrect_nearest(int64_t n, int64_t k, const double *prod, const double *c2,
+                    const double *x2, const int64_t *idx, double eps, int64_t *label,
+                    double *best, double *upper, double *lower)
+{
+    for (int64_t r = 0; r < n; r++) {
+        const double *row = prod + r * k;
+        int64_t bj = 0, i = idx[r];
+        double bv = row[0] * -2.0 + c2[0], sv = INFINITY;
         for (int64_t j = 1; j < k && bv == bv; j++) {
             double v = row[j] * -2.0 + c2[j];
             if (v < bv || v != v) {
+                sv = bv;
                 bv = v;
                 bj = j;
+            } else if (v < sv) {
+                sv = v;
             }
         }
         double b = bv + x2[i];
         label[i] = bj;
         best[i] = b < 0.0 ? 0.0 : b;
+        upper[i] = upper_bound(best[i], eps);
+        double second = sv + x2[i] - eps;
+        lower[i] = second > 0.0 ? sqrt(second) * (1.0 - WIDEN) : 0.0;
     }
+}
+
+/* Row r of the n x m block `prod` holds x_i . c_j for sample i = idx[r] and
+ * the centres j with col[j] >= 0, at column col[j].  Sets best[i] to the
+ * distance to its own centre a = label[i], in evrect_nearest's steps,
+ * max(prod[r][col[a]] * -2.0 + c2[a] + x2[i], 0), and upper[i] from it. */
+void evrect_own_distance(int64_t n, int64_t m, const double *prod, const int64_t *col,
+                         const double *c2, const double *x2, const int64_t *idx, double eps,
+                         const int64_t *label, double *best, double *upper)
+{
+    for (int64_t r = 0; r < n; r++) {
+        int64_t i = idx[r], a = label[i];
+        double b = prod[r * m + col[a]] * -2.0 + c2[a] + x2[i];
+        best[i] = b < 0.0 ? 0.0 : b;
+        upper[i] = upper_bound(best[i], eps);
+    }
+}
+
+/* One Lloyd step's bounds: for each of the n samples, its upper bound grows
+ * by the drift of its own centre a = label[i] and its lower bound shrinks
+ * by the largest drift of any other centre (far_drift, or next_drift when a
+ * is the centre `far` that drifted most).  A sample whose bounds show
+ * lower^2 - upper^2 > margin keeps its label; it goes to `own` when its
+ * centre moved (moved[a] != 0), to neither list when it did not.  Every
+ * other sample goes to `todo`.  Both lists come out in row order; returns
+ * the length of `todo` and writes that of `own` to *n_own. */
+int64_t evrect_prune(int64_t n, const int64_t *label, const double *drift,
+                     const uint8_t *moved, int64_t far, double far_drift, double next_drift,
+                     double margin, double *upper, double *lower, int64_t *todo,
+                     int64_t *own, int64_t *n_own)
+{
+    int64_t n_todo = 0, n_kept = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t a = label[i];
+        double u = (upper[i] + drift[a]) * (1.0 + WIDEN);
+        double l = (lower[i] - (a == far ? next_drift : far_drift)) * (1.0 - WIDEN);
+        upper[i] = u;
+        lower[i] = l;
+        if (l > u && l * l - u * u > margin) {
+            if (moved[a])
+                own[n_kept++] = i;
+        } else {
+            todo[n_todo++] = i;
+        }
+    }
+    *n_own = n_kept;
+    return n_todo;
 }
 
 /* Adds row i of the n x d matrix `x` into row label[i] of the k x d `sums`

@@ -1,22 +1,29 @@
 """C kernels loaded with ``ctypes`` (``_native.c``): the five per-event
-loops of the classify path and two k-means steps (the nearest centre per row
-of a product block, and the per-cluster sums).  The per-event loops are the
-event CSV parse; the noise cascade, over a noise map with a border of
+loops of the classify path and four k-means steps.  The per-event loops are
+the event CSV parse; the noise cascade, over a noise map with a border of
 never-fired cells; the FIFO patch copy, resumed one block of rows at a time,
 which reads each value from a table of count / pool area instead of dividing
 it; the k-d tree descent of those rows, which can divide each row by its
 norm as it reads it; and the grid walk, the same descent read straight from
 the FIFO's pooled grid, for rows that are neither normalised nor projected.
+Three k-means steps make the exact Hamerly-pruned Lloyd assignment
+(:class:`Lloyd`): the nearest centre per row of a product block, with
+bounds from its least and second least values; a row's distance to its own
+centre from a product with some of the centres; and the pass that moves
+every row's bounds by the centres' drifts and lists the rows a step must
+recompute.  The fourth is the per-cluster sums.
 
 The library is built with the local gcc on the first call that needs it,
 never at import, into ``__pycache__`` beside this file, named by the hash of
-its source and flags.  When gcc, the build or the cache directory is missing,
-:func:`load` returns None and every caller runs its Python reference loop,
-which gives the same results.
+its source and flags; a build removes the builds of other sources there.
+When gcc, the build or the cache directory is missing, :func:`load` returns
+None and every caller runs its Python reference loop, which gives the same
+results (k-means runs its full step, unpruned).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -29,12 +36,14 @@ from .errors import DataError
 
 CC = "/usr/bin/gcc"
 # -ffp-contract=off: no fused multiply-add, so that the k-means kernels round
-# each step as numpy does
-CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# each step as numpy does; -fno-math-errno: sqrt is the one instruction, with
+# no call into libm
+CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 _SOURCE = Path(__file__).with_name("_native.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 
 _i64 = ctypes.c_int64
+_f64 = ctypes.c_double
 _ptr = ctypes.c_void_p
 
 BAD_STEP = "a tree node's child is not a later node, so a walk might never end"
@@ -42,7 +51,9 @@ BAD_STEP = "a tree node's child is not a later node, so a walk might never end"
 
 def _build(source: bytes, target: Path) -> None:
     """Compile ``source`` to ``target``, published with one atomic rename so
-    that a concurrent build or load never sees a partial file."""
+    that a concurrent build or load never sees a partial file; then remove
+    the builds of other sources.  A process that loaded one of those keeps
+    it mapped."""
     import subprocess
 
     _CACHE.mkdir(exist_ok=True)
@@ -57,6 +68,10 @@ def _build(source: bytes, target: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for old in _CACHE.glob("_native-*.so"):
+        if old != target:
+            with contextlib.suppress(OSError):
+                old.unlink()
 
 
 @functools.cache
@@ -90,8 +105,14 @@ def load() -> ctypes.CDLL | None:
     lib.evrect_descend.argtypes = [_i64, _ptr, _i64, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr,
                                    _ptr]
     lib.evrect_descend.restype = ctypes.c_int
-    lib.evrect_nearest.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr]
+    lib.evrect_nearest.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _ptr, _f64, _ptr, _ptr, _ptr, _ptr]
     lib.evrect_nearest.restype = None
+    lib.evrect_own_distance.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _f64, _ptr, _ptr,
+                                        _ptr]
+    lib.evrect_own_distance.restype = None
+    lib.evrect_prune.argtypes = [_i64, _ptr, _ptr, _ptr, _i64, _f64, _f64, _f64, _ptr, _ptr, _ptr,
+                                 _ptr, _ptr]
+    lib.evrect_prune.restype = _i64
     lib.evrect_centroid_sums.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _ptr]
     lib.evrect_centroid_sums.restype = None
     return lib
@@ -255,22 +276,75 @@ def descent(
     return None if lib is None else Descent(lib, node_col, split_val, left, right, leaf_index)
 
 
-def nearest(
-    prod: np.ndarray, c2: np.ndarray, x2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per row of the n x k block ``prod`` of products x . c: the first
-    index of least ``-2 prod + c2`` (np.argmin's rule) and that value plus
-    ``x2``, floored at zero; or None without the kernels.  All three must be
-    C-order float64."""
+class Lloyd:
+    """The C steps of exact bound-pruned Lloyd assignments (dictionary.py)
+    over ``n`` samples, writing into arrays of length n that the caller
+    owns: ``labels`` (int64) and ``best``, ``upper`` and ``lower``
+    (float64).  Every matrix must be C-order float64, every index array
+    int64 and every index a row of those arrays; ``prod``'s rows must be at
+    least as many as the indices passed with it."""
+
+    def __init__(
+        self, lib: ctypes.CDLL, x2: np.ndarray, labels: np.ndarray, best: np.ndarray,
+        upper: np.ndarray, lower: np.ndarray,
+    ) -> None:
+        self._lib = lib
+        self._arrays = (x2, labels, best, upper, lower)
+        if len({len(a) for a in self._arrays}) != 1:
+            raise ValueError("the per-sample arrays differ in length")
+        self._x2, self._labels, self._best, self._upper, self._lower = (
+            a.ctypes.data for a in self._arrays)
+
+    def nearest(self, prod: np.ndarray, c2: np.ndarray, idx: np.ndarray, eps: float) -> None:
+        """For row r of the n x k block ``prod`` of products x . c, sample
+        ``idx[r]``: the first index of least ``-2 prod + c2`` (np.argmin's
+        rule), that value plus x2 floored at zero, and the bounds from it
+        and from the second least, each widened by ``eps``."""
+        if len(idx) > len(prod) or prod.shape[1] != len(c2):
+            raise ValueError(f"{len(idx)} samples and {len(c2)} centres do not fit {prod.shape}")
+        self._lib.evrect_nearest(len(idx), prod.shape[1], prod.ctypes.data, c2.ctypes.data,
+                                 self._x2, idx.ctypes.data, eps, self._labels, self._best,
+                                 self._upper, self._lower)
+
+    def own_distance(
+        self, prod: np.ndarray, col: np.ndarray, c2: np.ndarray, idx: np.ndarray, eps: float,
+    ) -> None:
+        """For row r of the n x m block ``prod`` of products with the
+        centres j where ``col[j] >= 0``, at column col[j], sample ``idx[r]``:
+        the distance to its own centre, which must be one of those, as
+        :meth:`nearest` computes it, and its upper bound."""
+        if len(idx) > len(prod) or len(col) != len(c2):
+            raise ValueError(f"{len(idx)} samples and {len(c2)} centres do not fit {prod.shape}")
+        self._lib.evrect_own_distance(len(idx), prod.shape[1], prod.ctypes.data, col.ctypes.data,
+                                      c2.ctypes.data, self._x2, idx.ctypes.data, eps,
+                                      self._labels, self._best, self._upper)
+
+    def prune(
+        self, drift: np.ndarray, moved: np.ndarray, margin: float, todo: np.ndarray,
+        own: np.ndarray,
+    ) -> tuple[int, int]:
+        """Moves every sample's bounds by the centres' ``drift`` (k float64
+        upper bounds) and sorts the samples: into ``todo`` those whose
+        nearest centre is not proven by a gap of more than ``margin``, into
+        ``own`` the proven ones whose centre ``moved`` (k bool).  Returns
+        the two counts; both lists are in row order."""
+        if len(todo) != len(self._arrays[0]) or len(own) != len(todo):
+            raise ValueError("todo and own must each hold every sample")
+        far = int(np.argmax(drift))
+        n_own = _i64()
+        n_todo = self._lib.evrect_prune(
+            len(todo), self._labels, drift.ctypes.data, moved.ctypes.data, far, float(drift[far]),
+            float(np.delete(drift, far).max()), margin, self._upper, self._lower,
+            todo.ctypes.data, own.ctypes.data, ctypes.byref(n_own))
+        return n_todo, n_own.value
+
+
+def lloyd(
+    x2: np.ndarray, labels: np.ndarray, best: np.ndarray, upper: np.ndarray, lower: np.ndarray,
+) -> Lloyd | None:
+    """A :class:`Lloyd` over the arrays, or None without the kernels."""
     lib = load()
-    if lib is None:
-        return None
-    n, k = prod.shape
-    labels = np.empty(n, dtype=np.int64)
-    best = np.empty(n, dtype=np.float64)
-    lib.evrect_nearest(n, k, prod.ctypes.data, c2.ctypes.data, x2.ctypes.data,
-                       labels.ctypes.data, best.ctypes.data)
-    return labels, best
+    return None if lib is None else Lloyd(lib, x2, labels, best, upper, lower)
 
 
 def centroid_sums(

@@ -54,7 +54,7 @@ from .pipeline import (
     save_bundle,
     train_pipeline,
 )
-from .rect import Descriptor, RectConfig, RectState
+from .rect import RectConfig, RectState
 from .synth import SceneSpec, synth_scene
 
 __version__ = "1.0.0"
@@ -64,7 +64,6 @@ __all__ = [
     "CapacityError",
     "CascadeFilter",
     "DataError",
-    "Descriptor",
     "DetectorModel",
     "Dictionary",
     "Event",

@@ -95,13 +95,6 @@ def scores_of(model: SvmModel, histogram: np.ndarray) -> np.ndarray:
     return h @ model.weights.T + model.bias
 
 
-def classify(model: SvmModel, histogram: np.ndarray) -> tuple[str, np.ndarray]:
-    """Histogram (raw counts) to (label, per-class scores); ties go to
-    the lowest class index."""
-    s = scores_of(model, histogram)
-    return model.class_names[int(np.argmax(s))], s
-
-
 def classify_batch(model: SvmModel, histograms: np.ndarray) -> tuple[list[str], np.ndarray]:
     s = scores_of(model, np.asarray(histograms, dtype=np.float64))
     idx = np.argmax(s, axis=1)
@@ -175,12 +168,3 @@ class StreamScorer:
     def label(self) -> str:
         return self.model.class_names[int(np.argmax(self.sums))]
 
-
-def batch_window_scores(model: StreamModel, leaf_window: np.ndarray) -> np.ndarray:
-    """Scores the StreamScorer must match after pushing exactly this window."""
-    counts = np.bincount(
-        np.asarray(leaf_window, dtype=np.int64), minlength=model.weights.shape[1]
-    )
-    if model.fixed_point:
-        return model.weights @ counts.astype(np.int64)
-    return model.weights @ counts.astype(np.float64)

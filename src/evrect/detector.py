@@ -151,14 +151,6 @@ def heat_spot(
     return ((2 * sx + n) // (2 * n), (2 * sy + n) // (2 * n)), top
 
 
-def heat_update(
-    state: HeatMapTracker, model: DetectorModel, x: int, y: int, leaf_index: int
-) -> None:
-    """Per-event update: count the event only if its leaf is a landmark."""
-    if leaf_index in model.landmarks:
-        state.hit(x, y)
-
-
 @dataclass(frozen=True)
 class TruthWindow:
     """Ground-truth bounding box valid over [t_start, t_end)."""

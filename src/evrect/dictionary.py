@@ -284,7 +284,9 @@ def learn(
     max_iter: int = 100,
     tol: float = 1e-4,
 ) -> Dictionary:
-    """Cluster sampled descriptors into a K-entry dictionary."""
+    """Cluster sampled descriptors into a K-entry dictionary.  Lloyd steps
+    stop after ``max_iter``, or once the inertia falls by less than ``tol``
+    of the step before, or the step before already had inertia 0."""
     x = np.ascontiguousarray(samples, dtype=np.float64)
     if x.ndim != 2:
         raise DataError("samples must be a 2-D array")
@@ -324,7 +326,7 @@ def learn(
         sums, counts = _cluster_sums(x, labels, k)
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-        if prev is not None and prev > 0.0 and (prev - inertia) / prev < tol:
+        if prev is not None and (prev == 0.0 or (prev - inertia) / prev < tol):
             break
         prev = inertia
 

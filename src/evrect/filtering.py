@@ -15,11 +15,9 @@ import numpy as np
 
 from . import _native
 from .errors import DataError
-from .events import MAX_TIMESTAMP, Event, EventStream, SensorGeometry
+from .events import MAX_TIMESTAMP, EventStream, SensorGeometry
 
 NEVER = -(1 << 62)
-
-_NEIGHBOR_OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -34,96 +32,39 @@ class FilterConfig:
             raise DataError(f"filter thresholds must be at most {MAX_TIMESTAMP} us")
 
 
-class LastSpikeMap:
-    """Most recent stage-input timestamp per pixel (flat row-major grid)."""
-
-    __slots__ = ("n_rows", "n_cols", "cells")
-
-    def __init__(self, geometry: SensorGeometry) -> None:
-        self.n_rows = geometry.n_rows
-        self.n_cols = geometry.n_cols
-        self.cells = [NEVER] * (geometry.n_rows * geometry.n_cols)
-
-    def last(self, x: int, y: int) -> int:
-        return self.cells[y * self.n_cols + x]
-
-    def record(self, x: int, y: int, t: int) -> None:
-        self.cells[y * self.n_cols + x] = t
-
-
-def refractory_pass(event: Event, state: LastSpikeMap, theta_ref_us: int = 1_000) -> bool:
-    """Accept unless the same pixel fired within the refractory period.
-
-    The map records the event's timestamp either way.
-    """
-    idx = event.y * state.n_cols + event.x
-    last = state.cells[idx]
-    state.cells[idx] = event.t
-    return last == NEVER or event.t - last > theta_ref_us
-
-
-def noise_pass(event: Event, state: LastSpikeMap, theta_noise_us: int = 5_000) -> bool:
-    """Accept if any of the 8 surrounding pixels fired recently enough.
-
-    The center pixel does not count as its own neighbor.  The map
-    records the event's timestamp either way.
-    """
-    x, y, t = event.x, event.y, event.t
-    nc, nr = state.n_cols, state.n_rows
-    cells = state.cells
-    accepted = False
-    for dx, dy in _NEIGHBOR_OFFSETS:
-        xj, yj = x + dx, y + dy
-        if 0 <= xj < nc and 0 <= yj < nr:
-            tj = cells[yj * nc + xj]
-            if tj != NEVER and t - tj < theta_noise_us:
-                accepted = True
-                break
-    cells[y * nc + x] = t
-    return accepted
-
-
 class CascadeFilter:
-    """Per-event two-stage filter; the noise stage only sees refractory survivors."""
+    """Per-event two-stage filter; the noise stage only sees refractory
+    survivors.  The reference model of the C kernel: the noise map has a
+    border of never-fired cells, so every pixel, corners included, reads
+    the same eight neighbour cells and never its own."""
 
-    __slots__ = ("cfg", "n_rows", "n_cols", "_ref_cells", "_noise_cells")
+    __slots__ = ("cfg", "n_cols", "_wide", "_around", "_ref_cells", "_noise_cells")
 
     def __init__(self, geometry: SensorGeometry, cfg: FilterConfig | None = None) -> None:
         self.cfg = cfg or FilterConfig()
-        self.n_rows = geometry.n_rows
         self.n_cols = geometry.n_cols
-        n = geometry.n_rows * geometry.n_cols
-        self._ref_cells = [NEVER] * n
-        self._noise_cells = [NEVER] * n
+        wide = self._wide = geometry.n_cols + 2
+        self._around = (-wide - 1, -wide, -wide + 1, -1, 1, wide - 1, wide, wide + 1)
+        self._ref_cells = [NEVER] * (geometry.n_rows * geometry.n_cols)
+        self._noise_cells = [NEVER] * ((geometry.n_rows + 2) * wide)
 
     def push(self, x: int, y: int, t: int) -> bool:
-        nc = self.n_cols
-        idx = y * nc + x
         ref = self._ref_cells
+        idx = y * self.n_cols + x
         last = ref[idx]
         ref[idx] = t
         if last != NEVER and t - last <= self.cfg.theta_ref_us:
             return False
         cells = self._noise_cells
+        cell = (y + 1) * self._wide + x + 1
         theta = self.cfg.theta_noise_us
         accepted = False
-        if 0 < x < nc - 1 and 0 < y < self.n_rows - 1:
-            for off in (idx - nc - 1, idx - nc, idx - nc + 1, idx - 1,
-                        idx + 1, idx + nc - 1, idx + nc, idx + nc + 1):
-                tj = cells[off]
-                if tj != NEVER and t - tj < theta:
-                    accepted = True
-                    break
-        else:
-            nr = self.n_rows
-            for dx, dy in _NEIGHBOR_OFFSETS:
-                xj, yj = x + dx, y + dy
-                if 0 <= xj < nc and 0 <= yj < nr:
-                    tj = cells[yj * nc + xj]
-                    if tj != NEVER and t - tj < theta:
-                        accepted = True
-                        break
-        cells[idx] = t
+        for off in self._around:
+            tj = cells[cell + off]
+            if tj != NEVER and t - tj < theta:
+                accepted = True
+                break
+        cells[cell] = t
         return accepted
 
 

@@ -150,17 +150,6 @@ def descend(tree: KdTree, query: np.ndarray) -> int:
     return int(tree.leaf_index[i])
 
 
-def descend_path(tree: KdTree, query: np.ndarray) -> list[int]:
-    """Node indices visited by descend, root first, leaf last."""
-    q = np.asarray(query, dtype=np.float64)
-    path = [0]
-    i = 0
-    while not tree.is_leaf[i]:
-        i = tree.left[i] if q[tree.split_dim[i]] <= tree.split_val[i] else tree.right[i]
-        path.append(i)
-    return path
-
-
 def descend_batch(tree: KdTree, queries: np.ndarray, columns=None, norm=None) -> np.ndarray:
     """The leaf :func:`descend` gives for each row of ``queries``.
 
@@ -421,11 +410,6 @@ def quantized_descend(packed: PackedTree, query: np.ndarray) -> int:
             i = (word >> 36) & 0xFFF
         else:
             i = (word >> 24) & 0xFFF
-
-
-def quantized_descend_batch(packed: PackedTree, queries: np.ndarray) -> np.ndarray:
-    """Vectorized equivalent of quantized_descend."""
-    return descend_batch(unpack(packed, np.shape(queries)[-1]), queries)
 
 
 def dump_rom(packed: PackedTree) -> str:

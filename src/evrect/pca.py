@@ -81,12 +81,3 @@ def project(model: PcaModel, x: np.ndarray) -> np.ndarray:
         )
     return (arr - model.mean) @ model.components.T
 
-
-def reconstruct(model: PcaModel, z: np.ndarray) -> np.ndarray:
-    """Map projected coordinates back into the input space."""
-    arr = np.asarray(z, dtype=np.float64)
-    if arr.shape[-1] != model.n_components:
-        raise DataError(
-            f"input dimension {arr.shape[-1]} does not match projection dimension {model.n_components}"
-        )
-    return arr @ model.components + model.mean

@@ -350,18 +350,26 @@ def fifo_snapshot(
     return counts, batch_pooled(counts, rect_cfg.p, rect_cfg.q)
 
 
+def _stream_model(svm: SvmModel, config: PipelineConfig) -> StreamModel | None:
+    """The window scorer's weights, in fixed point for the hardware profile;
+    None when a window is the whole stream (``s_window`` 0)."""
+    if config.s_window < 1:
+        return None
+    return export_stream(svm, config.s_window, fixed_point=config.profile == "hardware",
+                         frac_bits=config.frac_bits)
+
+
+@contextmanager
 def _stage(name: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, DataError) and not getattr(exc, "_staged", False):
-                exc._staged = True
-                exc.args = (f"{name}: {exc.args[0]}",) if exc.args else (name,)
-            return False
-
-    return _Ctx()
+    """Prefix a DataError raised inside with ``name: ``, once: an error an
+    inner stage has prefixed passes through as it is."""
+    try:
+        yield
+    except DataError as exc:
+        if not getattr(exc, "_staged", False):
+            exc._staged = True
+            exc.args = (f"{name}: {exc.args[0]}",) if exc.args else (name,)
+        raise
 
 
 def train_pipeline(
@@ -502,15 +510,7 @@ def train_filtered(config: PipelineConfig, streams, log=None) -> TrainedPipeline
             landmarks[name] = select_landmarks(compute_stats(pos, neg), n_landmarks)
     stats["landmarks_per_class"] = n_landmarks
 
-    stream_model = None
-    if config.s_window >= 1:
-        stream_model = export_stream(
-            svm,
-            config.s_window,
-            fixed_point=config.profile == "hardware",
-            frac_bits=config.frac_bits,
-        )
-
+    stream_model = _stream_model(svm, config)
     packed = None
     with _stage("tree packing"):
         try:
@@ -865,14 +865,6 @@ def _decode_bundle(meta: dict, sections: dict[str, dict[str, np.ndarray]]) -> Tr
             raise DataError("packed tree is not the packing of the float tree")
     elif config.profile == "hardware":
         raise DataError("the hardware profile without a packed tree")
-    stream_model = None
-    if config.s_window >= 1:
-        stream_model = export_stream(
-            svm,
-            config.s_window,
-            fixed_point=config.profile == "hardware",
-            frac_bits=config.frac_bits,
-        )
     return TrainedPipeline(
         config=config,
         class_names=class_names,
@@ -883,7 +875,7 @@ def _decode_bundle(meta: dict, sections: dict[str, dict[str, np.ndarray]]) -> Tr
         pca_model=pca_model,
         vproj=vproj,
         packed=packed,
-        stream_model=stream_model,
+        stream_model=_stream_model(svm, config),
         stats=dict(_json_value(meta, "stats", "object")),
         _qtree=qtree,
     )

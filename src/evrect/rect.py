@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .events import Event, SensorGeometry
+from .events import SensorGeometry
 
 
 @dataclass(frozen=True)
@@ -38,16 +38,6 @@ class RectConfig:
     @property
     def dim(self) -> int:
         return self.w * self.w
-
-
-@dataclass(frozen=True)
-class Descriptor:
-    """Flattened patch values plus the anchor event that produced them."""
-
-    values: np.ndarray
-    x: int
-    y: int
-    t: int
 
 
 class RectState:
@@ -99,18 +89,6 @@ class RectState:
             if norm > 0.0:
                 vals /= norm
         return vals
-
-
-def push(state: RectState, event: Event) -> RectState:
-    state.push(event.x, event.y)
-    return state
-
-
-def extract(state: RectState, event: Event) -> Descriptor:
-    """Descriptor for an event already pushed into the state."""
-    return Descriptor(
-        values=state.extract_values(event.x, event.y), x=event.x, y=event.y, t=event.t
-    )
 
 
 def batch_pooled(counts: np.ndarray, p: int, q: int) -> np.ndarray:

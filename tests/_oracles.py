@@ -272,7 +272,7 @@ def kmeans_oracle(
             sums[:, dim] = np.bincount(labels, weights=x[:, dim], minlength=k)
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-        if prev is not None and prev > 0.0 and (prev - inertia) / prev < tol:
+        if prev is not None and (prev == 0.0 or (prev - inertia) / prev < tol):
             break
         prev = inertia
 

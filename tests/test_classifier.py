@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from evrect.classifier import (
     StreamScorer,
     SvmModel,
-    batch_window_scores,
-    classify,
     classify_batch,
     export_stream,
     normalize_l1,
@@ -60,7 +58,7 @@ def test_duplicated_training_set_keeps_probe_decision(rng):
     probe = hists[3] + hists[5]
     m1 = train(hists, labels, epochs=40, seed=0)
     m2 = train(np.concatenate([hists, hists]), labels + labels, epochs=40, seed=0)
-    assert classify(m1, probe)[0] == classify(m2, probe)[0]
+    assert classify_batch(m1, probe[None])[0] == classify_batch(m2, probe[None])[0]
 
 
 def test_identity_weights_pick_matching_bin():
@@ -68,16 +66,16 @@ def test_identity_weights_pick_matching_bin():
     model = SvmModel(weights=np.eye(4), bias=np.zeros(4), class_names=names)
     h = np.zeros(4)
     h[2] = 7.0
-    label, scores = classify(model, h)
-    assert label == "c2"
-    assert scores.argmax() == 2
+    labels, scores = classify_batch(model, h[None])
+    assert labels == ["c2"]
+    assert scores[0].argmax() == 2
 
 
 def test_zero_model_breaks_ties_toward_lowest_index(rng):
     names = ("first", "second", "third")
     model = SvmModel(weights=np.zeros((3, 8)), bias=np.zeros(3), class_names=names)
-    label, scores = classify(model, rng.integers(1, 5, size=8).astype(float))
-    assert label == "first"
+    labels, scores = classify_batch(model, rng.integers(1, 5, size=(1, 8)).astype(float))
+    assert labels == ["first"]
     assert np.all(scores == 0.0)
 
 
@@ -120,6 +118,12 @@ def stream_fixture(rng, fixed_point, k=20, c=3, s=500):
     return export_stream(model, window_size=s, fixed_point=fixed_point)
 
 
+def trailing_window_sums(sm, leaves):
+    """The class sums over the last ``window_size`` of ``leaves``, by the
+    prefix-sum oracle."""
+    return window_sums(sm.weights.T[np.asarray(leaves)], sm.window_size)[-1]
+
+
 def test_stream_weights_fold_bias_and_window():
     model = SvmModel(
         weights=np.asarray([[2.0, 4.0], [0.0, 8.0]]),
@@ -140,7 +144,7 @@ def test_full_window_sums_equal_batch_scores(rng):
         scorer = StreamScorer(sm)
         for leaf in leaves:
             scorer.push(int(leaf))
-        expect = batch_window_scores(sm, leaves)
+        expect = trailing_window_sums(sm, leaves)
         if fixed:
             assert np.array_equal(scorer.sums, expect)
         else:
@@ -153,7 +157,7 @@ def test_partial_window_sums_before_first_eviction(rng):
     scorer = StreamScorer(sm)
     for leaf in leaves:
         scorer.push(int(leaf))
-    assert np.array_equal(scorer.sums, batch_window_scores(sm, leaves))
+    assert np.array_equal(scorer.sums, trailing_window_sums(sm, leaves))
 
 
 def test_eviction_keeps_trailing_window_only(rng):
@@ -162,7 +166,7 @@ def test_eviction_keeps_trailing_window_only(rng):
     scorer = StreamScorer(sm)
     for leaf in leaves:
         scorer.push(int(leaf))
-    assert np.array_equal(scorer.sums, batch_window_scores(sm, leaves[-50:]))
+    assert np.array_equal(scorer.sums, trailing_window_sums(sm, leaves))
 
 
 @pytest.mark.parametrize("fixed", [True, False])
@@ -216,4 +220,4 @@ def test_decision_ignores_histogram_scale(counts, scale):
         h[0] = 1
     w = np.random.default_rng(77).standard_normal((3, 6))
     model = SvmModel(weights=w, bias=np.zeros(3), class_names=("a", "b", "c"))
-    assert classify(model, h)[0] == classify(model, h * scale)[0]
+    assert classify_batch(model, h[None])[0] == classify_batch(model, h[None] * scale)[0]

@@ -13,7 +13,6 @@ from evrect.detector import (
     compute_stats,
     evaluate,
     heat_spot,
-    heat_update,
     precision_recall,
     select_landmarks,
 )
@@ -165,16 +164,6 @@ def test_heat_spot_equals_tracker_replay(rows, cols, hits):
     xs = np.asarray([h[0] for h in hits], dtype=np.int64)
     ys = np.asarray([h[1] for h in hits], dtype=np.int64)
     assert heat_spot(xs, ys, geometry) == (tracker.detect(), tracker.threshold)
-
-
-def test_heat_update_counts_landmark_leaves_only():
-    tracker = HeatMapTracker(SensorGeometry(n_rows=8, n_cols=8))
-    model = DetectorModel(landmarks=(2, 5))
-    heat_update(tracker, model, 3, 3, leaf_index=4)
-    assert tracker.counts.sum() == 0
-    heat_update(tracker, model, 3, 3, leaf_index=5)
-    assert tracker.counts[3, 3] == 1
-    assert tracker.detect() == (3, 3)
 
 
 def test_detector_model_mask():

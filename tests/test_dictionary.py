@@ -290,10 +290,13 @@ def test_learn_matches_oracle_on_lattice_ties(k):
     """4,000 rows on a 3-level lattice of 81 points, one in 40 moved to a
     far point: most rows repeat and most distances tie.  At k = 2 a seed on
     the far point keeps its cluster, so one centre moves; at k = 150 there
-    are more centres than points, so clusters go empty."""
+    are more centres than points, so clusters go empty, every row sits on a
+    centre from the start, and a run stops once an inertia of 0 repeats."""
     x = np.random.default_rng(k).integers(0, 3, size=(4_000, 4)) / 2.0
     x[::40] = 4.0
-    logs = [assert_learn_is_oracle(x, k, seed)[1] for seed in range(5)]
+    iterations, logs = zip(*(assert_learn_is_oracle(x, k, seed) for seed in range(5)))
+    if k == 150:
+        assert iterations == (2,) * 5
     if logs[0] is None:
         return
     always = [log for _, log in logs]

@@ -1,83 +1,96 @@
 import numpy as np
 import pytest
 
-from _oracles import cascade_oracle, noise_oracle, random_stream, refractory_oracle
+from _oracles import cascade_oracle, random_stream, refractory_oracle
+from evrect import _native
 from evrect.errors import DataError
-from evrect.events import Event, EventStream, SensorGeometry
-from evrect.filtering import (
-    CascadeFilter,
-    FilterConfig,
-    LastSpikeMap,
-    cascade,
-    noise_pass,
-    refractory_pass,
-)
+from evrect.events import MAX_TIMESTAMP, EventStream, SensorGeometry
+from evrect.filtering import CascadeFilter, FilterConfig, cascade
 
 GEO = SensorGeometry(n_rows=30, n_cols=30)
 
 
+def _rows(stream):
+    return list(zip(stream.x.tolist(), stream.y.tolist(), stream.t.tolist(), stream.p.tolist()))
+
+
+def _cascade_both(stream, cfg):
+    """``cascade`` with the C kernel, and again with :class:`CascadeFilter`
+    alone; both must keep the same events, which are returned."""
+    kept = cascade(stream, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        assert _rows(cascade(stream, cfg)) == _rows(kept)
+    return kept
+
+
+def _kept(events, theta_noise_us=5_000, theta_ref_us=1_000):
+    """(x, y, t) of the events the cascade keeps from a hand-built stream."""
+    stream = EventStream.from_events(GEO, [(x, y, t, 1) for x, y, t in events])
+    kept = _cascade_both(stream, FilterConfig(theta_noise_us=theta_noise_us, theta_ref_us=theta_ref_us))
+    return [(e.x, e.y, e.t) for e in kept]
+
+
+# Refractory stage: (6, 5) fires first and, with the widest noise window,
+# lets every later (5, 5) event through the noise stage, so that only the
+# refractory rule decides.
+_PRIMER = [(6, 5, 0)]
+
+
+def _refractory_kept(events):
+    kept = _kept(_PRIMER + events, theta_noise_us=MAX_TIMESTAMP, theta_ref_us=1_000)
+    return [t for _, _, t in kept]
+
+
 def test_refractory_first_event_accepted():
-    state = LastSpikeMap(GEO)
-    assert refractory_pass(Event(5, 5, 0, 1), state, theta_ref_us=1_000)
+    assert _refractory_kept([(5, 5, 0)]) == [0]
 
 
 def test_refractory_close_pair_rejected():
-    state = LastSpikeMap(GEO)
-    assert refractory_pass(Event(5, 5, 100, 1), state, theta_ref_us=1_000)
-    assert not refractory_pass(Event(5, 5, 600, 0), state, theta_ref_us=1_000)
+    assert _refractory_kept([(5, 5, 100), (5, 5, 600)]) == [100]
 
 
 def test_refractory_exact_threshold_gap_rejected():
-    state = LastSpikeMap(GEO)
-    refractory_pass(Event(5, 5, 0, 1), state, theta_ref_us=1_000)
-    assert not refractory_pass(Event(5, 5, 1_000, 1), state, theta_ref_us=1_000)
-    assert refractory_pass(Event(5, 5, 2_001, 1), state, theta_ref_us=1_000)
+    assert _refractory_kept([(5, 5, 0), (5, 5, 1_000), (5, 5, 2_001)]) == [0, 2_001]
 
 
 def test_refractory_map_records_rejected_events():
-    state = LastSpikeMap(GEO)
-    refractory_pass(Event(5, 5, 0, 1), state, theta_ref_us=1_000)
-    refractory_pass(Event(5, 5, 600, 1), state, theta_ref_us=1_000)
     # 600 was rejected but still resets the clock, so 1200 stays blocked
-    assert not refractory_pass(Event(5, 5, 1_200, 1), state, theta_ref_us=1_000)
+    assert _refractory_kept([(5, 5, 0), (5, 5, 600), (5, 5, 1_200)]) == [0]
 
 
 def test_refractory_matches_oracle(rng):
+    # with the widest noise window, the noise stage drops only a refractory
+    # survivor none of whose eight neighbours has had a survivor before
     stream = random_stream(rng, 10_000, GEO)
-    state = LastSpikeMap(GEO)
-    got = [refractory_pass(e, state, 1_000) for e in stream]
-    assert got == refractory_oracle(stream, 1_000)
+    kept = _cascade_both(stream, FilterConfig(theta_noise_us=MAX_TIMESTAMP, theta_ref_us=1_000))
+    assert _rows(kept) == _rows(stream.slice(cascade_oracle(stream, MAX_TIMESTAMP, 1_000)))
 
+
+# Noise stage: a 1 us refractory period lets these events through stage 1.
 
 def test_noise_isolated_event_rejected():
-    state = LastSpikeMap(GEO)
-    assert not noise_pass(Event(5, 5, 100, 1), state, theta_noise_us=5_000)
+    assert _kept([(5, 5, 100)], theta_ref_us=1) == []
 
 
 def test_noise_recent_neighbor_accepts():
-    state = LastSpikeMap(GEO)
-    noise_pass(Event(5, 5, 100, 1), state, theta_noise_us=5_000)
-    assert noise_pass(Event(6, 5, 200, 0), state, theta_noise_us=5_000)
+    assert _kept([(5, 5, 100), (6, 5, 200)], theta_ref_us=1) == [(6, 5, 200)]
 
 
 def test_noise_center_pixel_not_its_own_neighbor():
-    state = LastSpikeMap(GEO)
-    noise_pass(Event(5, 5, 100, 1), state, theta_noise_us=5_000)
-    assert not noise_pass(Event(5, 5, 200, 1), state, theta_noise_us=5_000)
+    assert _kept([(5, 5, 100), (5, 5, 200)], theta_ref_us=1) == []
 
 
 def test_noise_exact_threshold_gap_rejected():
-    state = LastSpikeMap(GEO)
-    noise_pass(Event(5, 5, 0, 1), state, theta_noise_us=5_000)
-    assert not noise_pass(Event(6, 5, 5_000, 1), state, theta_noise_us=5_000)
-    assert noise_pass(Event(6, 6, 5_001, 1), state, theta_noise_us=5_000)
+    assert _kept([(5, 5, 0), (6, 5, 5_000), (6, 6, 5_001)], theta_ref_us=1) == [(6, 6, 5_001)]
 
 
 def test_noise_matches_oracle(rng):
+    # with a 1 us refractory period, stage 1 rejects only same-pixel
+    # repeats within 1 us, and the noise stage decides the rest
     stream = random_stream(rng, 10_000, GEO)
-    state = LastSpikeMap(GEO)
-    got = [noise_pass(e, state, 5_000) for e in stream]
-    assert got == noise_oracle(stream, 5_000)
+    kept = _cascade_both(stream, FilterConfig(theta_noise_us=5_000, theta_ref_us=1))
+    assert _rows(kept) == _rows(stream.slice(cascade_oracle(stream, 5_000, 1)))
 
 
 def test_cascade_empty_stream():
@@ -114,10 +127,6 @@ def test_cascade_output_is_subsequence(rng):
     assert np.all(np.diff(kept.t) >= 0)
 
 
-def _kept_set(stream, cfg):
-    return set(map(tuple, np.stack([cascade(stream, cfg).t, cascade(stream, cfg).x]).T.tolist()))
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_threshold_monotonicity(seed):
     rng = np.random.default_rng(seed)
@@ -143,7 +152,7 @@ def test_polarity_ignored_by_both_stages():
 
 
 def test_cascade_filter_border_pixels(rng):
-    # exercise the non-interior fallback path on a tiny sensor
+    # every pixel of a 3 x 3 sensor but one is a border or corner pixel
     geo = SensorGeometry(n_rows=3, n_cols=3)
     stream = random_stream(rng, 2_000, geo, dt_choices=(0, 1, 2, 100))
     filt = CascadeFilter(geo, FilterConfig())

@@ -12,14 +12,12 @@ from evrect.kdtree import (
     build,
     descend,
     descend_batch,
-    descend_path,
     dump_rom,
     exact_nn,
     harvest_dims,
     pack,
     parse_rom,
     quantized_descend,
-    quantized_descend_batch,
     structural_equal,
     unpack,
 )
@@ -55,10 +53,12 @@ def test_depth_bound_and_comparison_count(rng):
         tree = build(pts)
         assert tree.depth <= math.ceil(math.log2(k)) + 1
         depths = tree.depths()
+        leaf_node = {int(tree.leaf_index[n]): n for n in np.flatnonzero(tree.is_leaf)}
         for i in rng.choice(k, size=min(k, 10), replace=False):
-            path = descend_path(tree, pts[i])
-            # one comparison per internal node on the path
-            assert len(path) - 1 == depths[path[-1]]
+            # descend makes one comparison per internal node above the leaf
+            # it reaches, here point i's own
+            assert descend(tree, pts[i]) == i
+            assert depths[leaf_node[i]] <= math.ceil(math.log2(k)) + 1
 
 
 def test_descend_single_leaf_any_query():
@@ -224,7 +224,7 @@ def test_quantized_descend_scalar_equals_batch(rng):
     pts = rng.uniform(size=(64, 6))
     packed = pack(build(pts))
     queries = rng.uniform(size=(200, 6))
-    batch = quantized_descend_batch(packed, queries)
+    batch = descend_batch(unpack(packed, 6), queries)
     for i in range(len(queries)):
         assert quantized_descend(packed, queries[i]) == batch[i]
 
@@ -235,7 +235,7 @@ def test_quantized_vs_float_agreement_reported(rng):
     packed = pack(tree)
     queries = rng.uniform(size=(1_000, 5))
     float_leaves = descend_batch(tree, queries)
-    quant_leaves = quantized_descend_batch(packed, queries)
+    quant_leaves = descend_batch(unpack(packed, 5), queries)
     agreement = float(np.mean(float_leaves == quant_leaves))
     print(f"quantized descend agreement with float: {agreement:.3f}")
     assert 0.0 <= agreement <= 1.0

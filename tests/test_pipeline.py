@@ -8,7 +8,7 @@ import pytest
 
 from evrect import _native
 from evrect import pipeline as pipeline_mod
-from evrect.detector import DetectorModel, HeatMapTracker, evaluate, heat_update
+from evrect.detector import DetectorModel, HeatMapTracker, evaluate
 from evrect.errors import DataError
 from evrect.events import EventStream
 from evrect.filtering import cascade
@@ -257,7 +257,8 @@ def test_detect_equals_per_hit_tracker_replay(tp_vpca, test_stream):
         for (start, end), window in zip(spans, got):
             tracker = HeatMapTracker(cfg.geometry)
             for i in range(start, end):
-                heat_update(tracker, model, int(filtered.x[i]), int(filtered.y[i]), int(leaves[i]))
+                if leaves[i] in model.landmarks:
+                    tracker.hit(int(filtered.x[i]), int(filtered.y[i]))
             spot = tracker.detect()
             assert window == DetectWindow(
                 t_end=int(filtered.t[end - 1]),

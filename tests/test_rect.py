@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from _oracles import batch_pooled_oracle, patch_oracle
 from evrect.errors import DataError
-from evrect.events import Event, SensorGeometry
-from evrect.rect import Descriptor, RectConfig, RectState, batch_pooled, extract, push
+from evrect.events import SensorGeometry
+from evrect.rect import RectConfig, RectState, batch_pooled
 
 GEO = SensorGeometry(n_rows=30, n_cols=30)
 
@@ -122,16 +122,6 @@ def test_descriptor_locality(rng):
     touched.push(29, 0)
     touched.push(*anchor)
     assert np.array_equal(touched.extract_values(*anchor), reference)
-
-
-def test_event_wrappers():
-    state = RectState(GEO, RectConfig(s=5, normalize=False))
-    e = Event(3, 4, 100, 1)
-    push(state, e)
-    d = extract(state, e)
-    assert isinstance(d, Descriptor)
-    assert (d.x, d.y, d.t) == (3, 4, 100)
-    assert d.values.shape == (81,)
 
 
 def test_uneven_pooling_grid():

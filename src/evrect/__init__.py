@@ -20,7 +20,7 @@ from .detector import (
     precision_recall,
     select_landmarks,
 )
-from .dictionary import Dictionary, Histogram, accumulate, learn
+from .dictionary import Dictionary, learn
 from .errors import CapacityError, DataError, EvrectError, UsageError
 from .events import (
     NMNIST_GEOMETRY,
@@ -71,7 +71,6 @@ __all__ = [
     "EvrectError",
     "FilterConfig",
     "HeatMapTracker",
-    "Histogram",
     "KdTree",
     "NMNIST_GEOMETRY",
     "PackedTree",
@@ -86,7 +85,6 @@ __all__ = [
     "TrainedPipeline",
     "TruthWindow",
     "UsageError",
-    "accumulate",
     "build",
     "cascade",
     "compute_stats",

@@ -23,7 +23,6 @@ class SvmModel:
     weights: np.ndarray          # (C, K)
     bias: np.ndarray             # (C,)
     class_names: tuple[str, ...]
-    trained_on: str = "l1"
 
     @property
     def n_classes(self) -> int:

@@ -116,6 +116,17 @@ def scene_spec_from_kv(kv: dict[str, str]) -> SceneSpec:
     return _from_kv(kv, _SCENE_KEYS, SceneSpec(), "scene")
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; a DataError naming the file and line if not."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise DataError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} "
+                        "is not UTF-8 text") from None
+
+
 def _read_events(path: str, geometry: SensorGeometry):
     return parse_csv(Path(path).read_bytes(), geometry)
 
@@ -156,7 +167,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    kv = parse_kv(Path(args.spec).read_text(), source=args.spec) if args.spec else {}
+    kv = parse_kv(_read_text(args.spec), source=args.spec) if args.spec else {}
     for key, _, kind in _SCENE_KEYS:
         for name in _PAIR_KEYS if kind == "pair" else (key,):
             value = getattr(args, name)
@@ -174,7 +185,7 @@ def _cmd_synth(args) -> int:
 def _labeled_inputs(args) -> list[tuple[str, str]]:
     pairs: list[tuple[str, str]] = []
     if args.manifest:
-        for lineno, raw in enumerate(Path(args.manifest).read_text().splitlines(), start=1):
+        for lineno, raw in enumerate(_read_text(args.manifest).splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -193,7 +204,7 @@ def _labeled_inputs(args) -> list[tuple[str, str]]:
 
 
 def _cmd_train(args) -> int:
-    kv = parse_kv(Path(args.config).read_text(), source=args.config) if args.config else {}
+    kv = parse_kv(_read_text(args.config), source=args.config) if args.config else {}
     if args.seed is not None:
         kv["seed"] = str(args.seed)
     if args.profile is not None:
@@ -240,7 +251,7 @@ def _cmd_detect(args) -> int:
         lines.append(f"{r.t_end},{x},{y},{r.threshold},{r.landmark_hits}")
     _write_out(args.output, "\n".join(lines) + "\n")
     if args.truth:
-        truth = parse_truth_csv(Path(args.truth).read_text())
+        truth = parse_truth_csv(_read_text(args.truth))
         detections = [(r.t_end, r.x, r.y) for r in rows if r.x is not None]
         m = evaluate(detections, truth)
         flag = " (no detections)" if m.no_detections else ""

@@ -84,7 +84,6 @@ import numpy as np
 
 from . import _native
 from .errors import DataError, EvrectError
-from .kdtree import KdTree, descend_batch
 
 _SEED_ROWS = 1024  # rows per seeding block
 _PRODUCT_FLOATS = 1 << 18  # floats per assignment product block (2 MB)
@@ -99,12 +98,6 @@ class Dictionary:
     @property
     def k(self) -> int:
         return len(self.centroids)
-
-
-@dataclass(frozen=True)
-class Histogram:
-    counts: np.ndarray  # (K,) match counts
-    window_size: int    # events per window
 
 
 def _lower_distances(x: np.ndarray, center: np.ndarray, d2: np.ndarray, buf: np.ndarray) -> None:
@@ -339,21 +332,6 @@ def learn(
     )
 
 
-def accumulate(tree: KdTree, descriptors: np.ndarray, window_size: int) -> list[Histogram]:
-    """Descend descriptors and bin leaf matches into non-overlapping windows.
-
-    A window size of 0 means one histogram over the whole sequence; a
-    trailing partial window is dropped otherwise.
-    """
-    if window_size < 0:
-        raise DataError("window size must be non-negative")
-    desc = np.asarray(descriptors, dtype=np.float64)
-    if len(desc) == 0:
-        return []
-    leaves = descend_batch(tree, desc)
-    return windows_from_leaves(leaves, tree.n_points, window_size)
-
-
 def window_spans(n: int, s: int) -> list[tuple[int, int]]:
     """Non-overlapping [start, end) windows; s = 0 means one whole-span window."""
     if n == 0:
@@ -363,7 +341,10 @@ def window_spans(n: int, s: int) -> list[tuple[int, int]]:
     return [(i, i + s) for i in range(0, n - s + 1, s)]
 
 
-def windows_from_leaves(leaves: np.ndarray, k: int, window_size: int) -> list[Histogram]:
-    """Window the precomputed leaf-index sequence (see accumulate)."""
-    return [Histogram(counts=np.bincount(leaves[start:end], minlength=k), window_size=end - start)
+def windows_from_leaves(leaves: np.ndarray, k: int, window_size: int) -> list[np.ndarray]:
+    """The match counts over the ``k`` leaves of each window of
+    :func:`window_spans` over a leaf-index sequence: a trailing partial
+    window is dropped, and a window size of 0 gives one whole-sequence
+    window."""
+    return [np.bincount(leaves[start:end], minlength=k)
             for start, end in window_spans(len(leaves), window_size)]

@@ -11,16 +11,15 @@ A packed 49-bit-per-node encoding mirrors the ROM layout of the
 hardware profile, with 8-bit affine-quantized split values.
 
 :func:`descend` and :func:`quantized_descend` walk one query and are the
-reference models.  :func:`descend_batch` walks a whole matrix of queries
-in the C loop of ``_native`` (a per-level numpy loop where it cannot be
-built), reading the matrix in place through a column map, so that a tree
-over a virtual projection descends the full descriptor matrix without a
-copy of the kept columns; :func:`batch_descent` prepares that walk once
-for a caller that descends one block of rows at a time, from the checked
-:func:`node_columns`, which the pipeline's grid walk reads too.  Both batch
-paths raise DataError at a step that does not go to a later node, and
-:func:`check_tree` rejects such a tree up front, so no walk reads outside
-the tree or runs forever.
+reference models.  :func:`batch_descent` prepares, from the checked
+:func:`node_columns` that the pipeline's grid walk reads too, the walk of
+whole query matrices in the C loop of ``_native`` (a per-level numpy loop
+where it cannot be built).  It reads each matrix in place through a column
+map, so a tree over a virtual projection descends the full descriptor
+matrix without a copy of the kept columns; :func:`descend_batch` walks one
+matrix of the tree's width.  Both raise DataError at a step that does not
+go to a later node, and :func:`check_tree` rejects such a tree up front, so
+no walk reads outside the tree or runs forever.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ MAX_PACKED_DIMS = 1 << 4
 class KdTree:
     """Flat-array tree; leaves carry the index of their training point."""
 
-    __slots__ = ("is_leaf", "split_dim", "split_val", "left", "right", "leaf_index", "points", "dim", "n_points")
+    __slots__ = ("is_leaf", "split_dim", "split_val", "left", "right", "leaf_index", "dim", "n_points")
 
     def __init__(
         self,
@@ -52,7 +51,6 @@ class KdTree:
         left: np.ndarray,
         right: np.ndarray,
         leaf_index: np.ndarray,
-        points: np.ndarray | None,
         dim: int,
         n_points: int,
     ) -> None:
@@ -62,7 +60,6 @@ class KdTree:
         self.left = left
         self.right = right
         self.leaf_index = leaf_index
-        self.points = points
         self.dim = dim
         self.n_points = n_points
 
@@ -136,7 +133,7 @@ def build(points: np.ndarray) -> KdTree:
         stack.append((node, True, members[~goes_left]))
         stack.append((node, False, members[goes_left]))
 
-    return KdTree(is_leaf, split_dim, split_val, left, right, leaf_index, pts, d, k)
+    return KdTree(is_leaf, split_dim, split_val, left, right, leaf_index, d, k)
 
 
 def descend(tree: KdTree, query: np.ndarray) -> int:
@@ -150,19 +147,13 @@ def descend(tree: KdTree, query: np.ndarray) -> int:
     return int(tree.leaf_index[i])
 
 
-def descend_batch(tree: KdTree, queries: np.ndarray, columns=None, norm=None) -> np.ndarray:
-    """The leaf :func:`descend` gives for each row of ``queries``.
-
-    Tree dimension j reads column ``columns[j]`` of the matrix, or column j
-    when ``columns`` is None, so a tree over a virtual projection descends
-    the full descriptor matrix in place.  With ``norm``, one value per row,
-    each row descends as if divided by its norm where that is > 0 (numpy's
-    ``divide`` with that ``where``), without a divided copy.
-    """
+def descend_batch(tree: KdTree, queries: np.ndarray) -> np.ndarray:
+    """The leaf :func:`descend` gives for each row of ``queries``, a matrix
+    ``tree.dim`` columns wide."""
     q = np.ascontiguousarray(queries, dtype=np.float64)
     if q.ndim != 2:
         raise DataError("queries must be 2-D")
-    return batch_descent(tree, q.shape[1], columns)(q, norm)
+    return batch_descent(tree, q.shape[1])(q)
 
 
 def node_columns(tree: KdTree, width: int, columns=None) -> np.ndarray:
@@ -188,8 +179,14 @@ def node_columns(tree: KdTree, width: int, columns=None) -> np.ndarray:
 
 def batch_descent(tree: KdTree, width: int, columns=None):
     """:func:`descend_batch` over matrices ``width`` columns wide, with the
-    tree's node arrays checked and laid out once: returns a function of
-    ``(queries, norm=None)``, for a caller that descends many blocks."""
+    tree's node arrays checked and laid out once, for a caller that descends
+    many blocks: returns a function of ``(queries, norm=None)``.
+
+    Tree dimension j reads column ``columns[j]`` of the matrix, or column j
+    when ``columns`` is None, so a tree over a virtual projection descends
+    the full descriptor matrix in place.  With ``norm``, one value per row,
+    each row descends as if divided by its norm where that is > 0 (numpy's
+    ``divide`` with that ``where``), without a divided copy."""
     node_col = node_columns(tree, width, columns)
     n = tree.n_nodes
     native = _native.descent(node_col, tree.split_val, tree.left, tree.right, tree.leaf_index)
@@ -392,7 +389,7 @@ def unpack(packed: PackedTree, dim: int | None = None) -> KdTree:
     if dim is None:
         dim = int(split_dim[internal].max()) + 1 if internal.any() else 0
     n_points = int(is_leaf.sum())
-    return KdTree(is_leaf, split_dim, split_val, left, right, leaf_index, None, dim, n_points)
+    return KdTree(is_leaf, split_dim, split_val, left, right, leaf_index, dim, n_points)
 
 
 def quantized_descend(packed: PackedTree, query: np.ndarray) -> int:

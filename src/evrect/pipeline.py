@@ -194,7 +194,7 @@ class TrainedPipeline:
     def window_scores(self, counts: np.ndarray, profile: str) -> np.ndarray:
         if profile == "hardware":
             sm = self.stream_model
-            if sm is None or not sm.fixed_point:
+            if sm is None:
                 raise DataError("bundle was not trained for the hardware profile")
             return sm.weights @ counts.astype(np.int64)
         return scores_of(self.svm, counts)
@@ -222,31 +222,54 @@ def _normalize(rows: np.ndarray, norm: np.ndarray) -> None:
     np.divide(rows, norm[:, None], out=rows, where=norm[:, None] > 0.0)
 
 
+class _RectReplay:
+    """``_native.PatchBlocks`` as a :class:`RectState` replay, for hosts
+    without the kernels: the same unnormalised patches, bit for bit, filled
+    a block at a time into the first rows of one reused ``buffer``."""
+
+    def __init__(self, geometry: SensorGeometry, rect_cfg: RectConfig, filtered: EventStream,
+                 rows: int) -> None:
+        self._state = RectState(geometry, replace(rect_cfg, normalize=False))
+        self._x, self._y = filtered.x, filtered.y
+        self.buffer = np.empty((rows, rect_cfg.dim), dtype=np.float64)
+        self.done = 0
+
+    def fill(self, stop: int) -> np.ndarray:
+        """The patches of events ``done`` to ``stop``, written to the first
+        rows of ``buffer``; returns a view of those rows."""
+        start, state = self.done, self._state
+        for i, (x, y) in enumerate(zip(self._x[start:stop].tolist(), self._y[start:stop].tolist())):
+            state.push(x, y)
+            self.buffer[i] = state.extract_values(x, y)
+        self.done = stop
+        return self.buffer[: stop - start]
+
+
+def _patch_blocks(geometry: SensorGeometry, rect_cfg: RectConfig, filtered: EventStream, rows: int):
+    """The filtered events' patches, a block of up to ``rows`` at a time:
+    the C patch copy, or its replay without the kernels.  The coordinates
+    are checked first, since the C copy indexes memory with them."""
+    filtered.check_coordinates(geometry)
+    blocks = _native.patch_blocks(filtered.x, filtered.y, geometry.n_rows, geometry.n_cols,
+                                  rect_cfg.s, rect_cfg.p, rect_cfg.q, rect_cfg.w, rows)
+    return _RectReplay(geometry, rect_cfg, filtered, rows) if blocks is None else blocks
+
+
 def extract_stream_descriptors(
     geometry: SensorGeometry, rect_cfg: RectConfig, filtered: EventStream
 ) -> tuple[np.ndarray, str]:
     """One descriptor per filtered event, read from the count matrix right
-    after the event entered the FIFO, and which kernels computed them:
-    ``"native"`` (the C patch copy, then the normalization in numpy) or
-    ``"python"`` (a :class:`RectState` replay).  Both give the same bits.
-    Training, classify and detect describe a block of rows at a time
-    instead (:func:`_descriptor_blocks`); this whole matrix serves their
-    fallback, checks and tests."""
-    filtered.check_coordinates(geometry)
+    after the event entered the FIFO, as one whole-stream block of
+    :func:`_patch_blocks`, and which kernels filled it: ``"native"`` or
+    ``"python"``, with the same bits.  The program describes a block of rows
+    at a time instead (:func:`_descriptor_blocks`); checks and tests read
+    this matrix."""
     n = len(filtered)
-    blocks = _native.patch_blocks(filtered.x, filtered.y, geometry.n_rows, geometry.n_cols,
-                                  rect_cfg.s, rect_cfg.p, rect_cfg.q, rect_cfg.w, n)
-    if blocks is None:
-        state = RectState(geometry, rect_cfg)
-        out = np.empty((n, rect_cfg.dim), dtype=np.float64)
-        for i, (x, y) in enumerate(zip(filtered.x.tolist(), filtered.y.tolist())):
-            state.push(x, y)
-            out[i] = state.extract_values(x, y)
-        return out, "python"
+    blocks = _patch_blocks(geometry, rect_cfg, filtered, n)
     out = blocks.fill(n)
     if rect_cfg.normalize:
         _normalize(out, _row_norms(out))
-    return out, "native"
+    return out, "python" if isinstance(blocks, _RectReplay) else "native"
 
 
 def _descriptor_blocks(
@@ -257,19 +280,9 @@ def _descriptor_blocks(
     ``stop - start`` rows of ``rows`` belong to events ``start`` to ``stop``
     and the rest hold earlier events.  ``norm`` holds those rows' norms when
     they are still to be divided by them, and is None when the rows are
-    final.  Without the kernels, the whole :func:`extract_stream_descriptors`
-    matrix is one block.  Filling a block and its norms runs inside
-    ``clock("describe")``."""
+    final.  Filling a block and its norms runs inside ``clock("describe")``."""
     n = len(filtered)
-    filtered.check_coordinates(geometry)
-    blocks = _native.patch_blocks(filtered.x, filtered.y, geometry.n_rows, geometry.n_cols,
-                                  rect_cfg.s, rect_cfg.p, rect_cfg.q, rect_cfg.w,
-                                  max(1, min(n, _BLOCK_ROWS)))
-    if blocks is None:
-        with clock("describe"):
-            desc, _ = extract_stream_descriptors(geometry, rect_cfg, filtered)
-        yield 0, n, desc, None
-        return
+    blocks = _patch_blocks(geometry, rect_cfg, filtered, max(1, min(n, _BLOCK_ROWS)))
     for start in range(0, n, len(blocks.buffer)):
         stop = min(n, start + len(blocks.buffer))
         with clock("describe"):
@@ -294,11 +307,8 @@ def _stream_leaves(
         descent = _native.descent(node_columns(tree, rect_cfg.dim, columns), tree.split_val,
                                   tree.left, tree.right, tree.leaf_index)
         if descent is not None:
-            filtered.check_coordinates(geometry)
             with clock("describe"):
-                return _native.patch_blocks(filtered.x, filtered.y, geometry.n_rows,
-                                            geometry.n_cols, rect_cfg.s, rect_cfg.p, rect_cfg.q,
-                                            rect_cfg.w, 0).leaves(descent)
+                return _patch_blocks(geometry, rect_cfg, filtered, 0).leaves(descent)
     leaves = np.empty(len(filtered), dtype=np.int64)
     walk = batch_descent(tree, tree.dim if pca_model is not None else rect_cfg.dim, columns)
     for start, stop, rows, norm in _descriptor_blocks(geometry, rect_cfg, filtered, clock):
@@ -351,12 +361,11 @@ def fifo_snapshot(
 
 
 def _stream_model(svm: SvmModel, config: PipelineConfig) -> StreamModel | None:
-    """The window scorer's weights, in fixed point for the hardware profile;
-    None when a window is the whole stream (``s_window`` 0)."""
-    if config.s_window < 1:
+    """The hardware profile's fixed-point window scorer weights; None for
+    the float profile, which scores a window with the SVM itself."""
+    if config.profile != "hardware":
         return None
-    return export_stream(svm, config.s_window, fixed_point=config.profile == "hardware",
-                         frac_bits=config.frac_bits)
+    return export_stream(svm, config.s_window, fixed_point=True, frac_bits=config.frac_bits)
 
 
 @contextmanager
@@ -476,8 +485,8 @@ def train_filtered(config: PipelineConfig, streams, log=None) -> TrainedPipeline
                 continue
             leaves = _stream_leaves(config.geometry, config.rect_cfg, tree, pca_model, vproj, stream)
             per_class_counts[label] += np.bincount(leaves, minlength=tree.n_points)
-            for h in windows_from_leaves(leaves, tree.n_points, config.s_window):
-                hists[len(hist_labels)] = h.counts
+            for counts in windows_from_leaves(leaves, tree.n_points, config.s_window):
+                hists[len(hist_labels)] = counts
                 hist_labels.append(label)
     if not hist_labels:
         raise DataError("histogram accumulation: no stream filled a full window")
@@ -553,15 +562,15 @@ class _StageClock:
 
 def _leaves(
     tp: TrainedPipeline, stream: EventStream, prof: str, clock
-) -> tuple[EventStream, np.ndarray | None]:
+) -> tuple[EventStream, np.ndarray]:
     """Filter, describe, project, and descend: the filtered events and the
-    leaf each one reaches (None when the filter keeps nothing).  Each stage
+    leaf each one reaches (none when the filter keeps nothing).  Each stage
     runs inside ``clock(stage)``; ``nullcontext`` times nothing."""
     cfg = tp.config
     with clock("filter"):
         filtered = cascade(stream, cfg.filter_cfg)
     if len(filtered) == 0:
-        return filtered, None
+        return filtered, np.empty(0, dtype=np.int64)
     leaves = _stream_leaves(cfg.geometry, cfg.rect_cfg, tp.profile_tree(prof), tp.pca_model,
                             tp.vproj, filtered, clock)
     return filtered, leaves
@@ -571,10 +580,11 @@ def _classify(
     tp: TrainedPipeline, stream: EventStream, prof: str, clock
 ) -> tuple[EventStream, list[WindowResult]]:
     filtered, leaves = _leaves(tp, stream, prof, clock)
+    spans = window_spans(len(filtered), tp.config.s_window)
     out = []
     with clock("score"):
-        for start, end in window_spans(len(filtered), tp.config.s_window):
-            counts = np.bincount(leaves[start:end], minlength=tp.tree.n_points)
+        windows = windows_from_leaves(leaves, tp.tree.n_points, tp.config.s_window)
+        for (_, end), counts in zip(spans, windows):
             scores = tp.window_scores(counts, prof)
             label = tp.class_names[int(np.argmax(scores))]
             out.append(WindowResult(t_end=int(filtered.t[end - 1]), label=label, scores=scores))
@@ -792,7 +802,6 @@ def _decode_bundle(meta: dict, sections: dict[str, dict[str, np.ndarray]]) -> Tr
     tree = KdTree(
         *(_array(sections, "TREE", name)
           for name in ("is_leaf", "split_dim", "split_val", "left", "right", "leaf_index")),
-        points=None,
         dim=_json_value(meta, "tree_dim", "int"),
         n_points=len(centroids),
     )

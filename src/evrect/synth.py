@@ -155,6 +155,9 @@ def parse_truth_csv(text: str) -> list[TruthWindow]:
         parts = line.split(",")
         if len(parts) != 6:
             raise DataError(f"truth line {lineno}: expected 6 fields")
-        t0, t1, x0, y0, x1, y1 = (int(v) for v in parts)
+        try:
+            t0, t1, x0, y0, x1, y1 = (int(v) for v in parts)
+        except ValueError:
+            raise DataError(f"truth line {lineno}: expected 6 integers") from None
         out.append(TruthWindow(t0, t1, Box(x0, y0, x1, y1)))
     return out

@@ -169,6 +169,33 @@ def test_non_utf8_csv_is_data_error(cli_dir, float_bundle, tmp_path, capsys):
         assert err == "error: line 3: byte 0xff is not UTF-8 text\n", (name, err)
 
 
+# (command, the flag that names the text file, contents, the error after the path)
+TEXT_INPUTS = {
+    "train --config": (b"\xff\xfe=1\n", "line 1: byte 0xff is not UTF-8 text"),
+    "train --manifest": (b"\xff\xfe=1\n", "line 1: byte 0xff is not UTF-8 text"),
+    "synth --spec": (b"# scene\n\xff\xfe=1\n", "line 2: byte 0xff is not UTF-8 text"),
+    "detect --truth": (b"\xff\xfe=1\n", "line 1: byte 0xff is not UTF-8 text"),
+    "detect --truth fields": (b"0,10,1,1,5,5\na,b,c,d,e,f\n", "truth line 2: expected 6 integers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_INPUTS))
+def test_unreadable_text_input_is_data_error(case, cli_dir, float_bundle, tmp_path, capsys):
+    data, message = TEXT_INPUTS[case]
+    bad = tmp_path / "input.txt"
+    bad.write_bytes(data)
+    out = str(tmp_path / "out")
+    scene = str(cli_dir / "bar.csv")
+    argv = {
+        "train": ("train", f"bar={scene}", "--output", out),
+        "synth": ("synth", "--output", out),
+        "detect": ("detect", "--bundle", str(float_bundle), "--input", scene, "--output", out),
+    }[case.split()[0]]
+    assert run_cli(*argv, case.split()[1], str(bad)) == 2
+    prefix = "" if case == "detect --truth fields" else f"{bad}: "
+    assert capsys.readouterr().err == f"error: {prefix}{message}\n"
+
+
 def test_classify_outputs_are_reproducible(cli_dir, float_bundle):
     probe = cli_dir / "probe.csv"
     write_scene(probe, "ring", seed=9, vy=15)

@@ -12,13 +12,11 @@ from evrect import _native, dictionary
 from evrect.dictionary import (
     _PRODUCT_FLOATS,
     Dictionary,
-    Histogram,
-    accumulate,
     learn,
     windows_from_leaves,
 )
 from evrect.errors import DataError, EvrectError
-from evrect.kdtree import build, descend_batch
+from evrect.kdtree import build, descend, descend_batch
 
 
 def blob_samples(rng, centers, per, spread):
@@ -85,11 +83,11 @@ def test_single_window_histogram_is_one_hot():
     rng = np.random.default_rng(10)
     pts = rng.standard_normal((16, 5))
     tree = build(pts)
-    h = accumulate(tree, pts[3][None, :], window_size=1)
+    h = windows_from_leaves(descend_batch(tree, pts[3][None, :]), tree.n_points, 1)
     assert len(h) == 1
-    counts = h[0].counts
+    counts = h[0]
     assert counts.sum() == 1
-    assert counts[descend_batch(tree, pts[3][None, :])[0]] == 1
+    assert counts[descend(tree, pts[3])] == 1
 
 
 def test_repeated_descriptor_fills_single_bin():
@@ -97,10 +95,10 @@ def test_repeated_descriptor_fills_single_bin():
     pts = rng.standard_normal((16, 5))
     tree = build(pts)
     probe = np.repeat(pts[5][None, :], 100, axis=0)
-    h = accumulate(tree, probe, window_size=100)
+    h = windows_from_leaves(descend_batch(tree, probe), tree.n_points, 100)
     assert len(h) == 1
-    counts = h[0].counts
-    leaf = descend_batch(tree, pts[5][None, :])[0]
+    counts = h[0]
+    leaf = descend(tree, pts[5])
     assert counts[leaf] == 100
     assert counts.sum() == 100
 
@@ -110,30 +108,30 @@ def test_accumulate_matches_manual_replay(rng):
     tree = build(pts)
     descs = rng.standard_normal((1000, 7))
     s = 64
-    hists = accumulate(tree, descs, window_size=s)
     leaves = descend_batch(tree, descs)
+    hists = windows_from_leaves(leaves, tree.n_points, s)
     n_full = len(descs) // s
     assert len(hists) == n_full
     for w in range(n_full):
-        expect = np.bincount(leaves[w * s:(w + 1) * s], minlength=tree.n_points)
-        assert np.array_equal(hists[w].counts, expect)
-        assert hists[w].counts.sum() == s
+        expect = np.array([descend(tree, q) for q in descs[w * s:(w + 1) * s]])
+        assert np.array_equal(hists[w], np.bincount(expect, minlength=tree.n_points))
+        assert hists[w].sum() == s
 
 
 def test_window_size_zero_accumulates_whole_sequence(rng):
     pts = rng.standard_normal((32, 4))
     tree = build(pts)
     descs = rng.standard_normal((77, 4))
-    hists = accumulate(tree, descs, window_size=0)
+    hists = windows_from_leaves(descend_batch(tree, descs), tree.n_points, 0)
     assert len(hists) == 1
-    assert hists[0].counts.sum() == 77
+    assert hists[0].sum() == 77
 
 
 def test_trailing_partial_window_dropped(rng):
     leaves = rng.integers(0, 8, size=25)
     hists = windows_from_leaves(leaves, k=8, window_size=10)
     assert len(hists) == 2
-    assert all(h.counts.sum() == 10 for h in hists)
+    assert all(h.sum() == 10 for h in hists)
 
 
 def test_histogram_conservation_random(rng):
@@ -143,8 +141,8 @@ def test_histogram_conservation_random(rng):
         n = int(rng.integers(s, 400))
         leaves = rng.integers(0, k, size=n)
         for h in windows_from_leaves(leaves, k=k, window_size=s):
-            assert h.counts.sum() == s
-            assert h.counts.shape == (k,)
+            assert h.sum() == s
+            assert h.shape == (k,)
 
 
 def test_duplicate_samples_collapse_centroids():
@@ -163,12 +161,6 @@ def test_dictionary_metadata(rng):
     assert d.feature_space == "pca-rect"
     assert isinstance(d, Dictionary)
     assert isinstance(d.inertia_history, tuple)
-
-
-def test_histogram_window_size_recorded(rng):
-    leaves = rng.integers(0, 4, size=30)
-    hists = windows_from_leaves(leaves, k=4, window_size=15)
-    assert all(isinstance(h, Histogram) and h.window_size == 15 for h in hists)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -9,6 +9,7 @@ from _oracles import quadratic_nn
 from evrect.errors import CapacityError, DataError
 from evrect.kdtree import (
     PackedTree,
+    batch_descent,
     build,
     descend,
     descend_batch,
@@ -334,7 +335,9 @@ def test_descend_dimension_mismatch(rng):
     with pytest.raises(DataError):
         descend_batch(tree, np.zeros((5, 2)))
     wide = np.zeros((5, 4))
-    assert np.array_equal(descend_batch(tree, wide, (0, 2, 3)), descend_batch(tree, wide[:, [0, 2, 3]]))
+    wide[:, 0] = [-2.0, -1.0, 0.0, 1.0, 2.0]
+    wide[:, 2:] = np.arange(10).reshape(5, 2) - 5.0
+    assert np.array_equal(batch_descent(tree, 4, (0, 2, 3))(wide), descend_batch(tree, wide[:, [0, 2, 3]]))
     for columns in ((0, 2), (0, 2, 4), (-1, 0, 1)):
         with pytest.raises(DataError, match="column"):
-            descend_batch(tree, wide, columns)
+            batch_descent(tree, 4, columns)

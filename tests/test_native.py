@@ -21,6 +21,7 @@ from evrect.filtering import CascadeFilter, FilterConfig, cascade
 from evrect.kdtree import (
     KdTree,
     VirtualProjection,
+    batch_descent,
     build,
     check_tree,
     descend,
@@ -37,7 +38,7 @@ from evrect.pipeline import (
     save_bundle,
     train_pipeline,
 )
-from evrect.rect import RectConfig
+from evrect.rect import RectConfig, RectState
 from evrect.synth import SceneSpec, synth_scene
 
 
@@ -167,6 +168,12 @@ def test_descriptors_native_equal_python_bit_for_bit(case):
     assert kernels == ("python" if _native.load() is None else "native")
     assert got.shape == want.shape == (len(stream), cfg.dim)
     assert got.tobytes() == want.tobytes()
+    # the replay fills unnormalised rows; RectState's own normalisation
+    # gives the same bits as the numpy one applied to them
+    state = RectState(geometry, cfg)
+    for x, y, row in zip(stream.x.tolist(), stream.y.tolist(), got):
+        state.push(x, y)
+        assert row.tobytes() == state.extract_values(x, y).tobytes()
 
 
 @pytest.mark.parametrize("kernels", ["native", "python"])
@@ -270,20 +277,21 @@ def test_descent_native_equals_fallback_and_per_event(case):
     want = np.asarray([descend(tree, q) for q in queries], dtype=np.int64)
     for got in _both_paths(lambda: descend_batch(tree, queries)):
         assert got.dtype == np.int64 and np.array_equal(got, want)
-    for got in _both_paths(lambda: descend_batch(tree, full, vproj.kept_dims)):
+    width = full.shape[1]
+    for got in _both_paths(lambda: batch_descent(tree, width, vproj.kept_dims)(full)):
         assert np.array_equal(got, want)
     assert np.array_equal(vproj.restrict(full), queries, equal_nan=True)
     packed = pack(tree)
     qtree = unpack(packed, tree.dim)
     want_q = np.asarray([quantized_descend(packed, q) for q in queries], dtype=np.int64)
     assert np.array_equal(want_q, [descend(qtree, q) for q in queries])
-    for got in _both_paths(lambda: descend_batch(qtree, full, vproj.kept_dims)):
+    for got in _both_paths(lambda: batch_descent(qtree, width, vproj.kept_dims)(full)):
         assert np.array_equal(got, want_q)
     # a divisor per row gives the leaves of numpy's divided matrix
     divided = full.copy()
     np.divide(divided, norm[:, None], out=divided, where=norm[:, None] > 0.0)
     want_div = [descend(tree, row) for row in vproj.restrict(divided)]
-    for got in _both_paths(lambda: descend_batch(tree, full, vproj.kept_dims, norm)):
+    for got in _both_paths(lambda: batch_descent(tree, width, vproj.kept_dims)(full, norm)):
         assert np.array_equal(got, np.asarray(want_div, dtype=np.int64))
 
 
@@ -294,7 +302,7 @@ def _hand_tree(left, right):
     is_leaf = (left == -1) & (right == -1)
     leaf_index = np.where(is_leaf, np.cumsum(is_leaf) - 1, -1).astype(np.int32)
     return KdTree(is_leaf, np.where(is_leaf, -1, 0).astype(np.int32), np.where(is_leaf, np.nan, 0.0),
-                  left, right, leaf_index, None, 1, int(is_leaf.sum()))
+                  left, right, leaf_index, 1, int(is_leaf.sum()))
 
 
 # node 2, on the right of the root, has one bad child on its right
@@ -371,7 +379,7 @@ def test_grid_walk_reads_the_table_up_to_the_fifo_capacity(p, q):
     tree = KdTree(np.array([False, True, True]), np.array([centre, -1, -1], dtype=np.int32),
                   np.array([(s - 1) / (p * q), np.nan, np.nan]), np.array([1, -1, -1], dtype=np.int32),
                   np.array([2, -1, -1], dtype=np.int32), np.array([-1, 0, 1], dtype=np.int32),
-                  None, w * w, 2)
+                  w * w, 2)
     rows, _ = extract_stream_descriptors(geometry, rect_cfg, stream)
     want = [int(r[centre] * (p * q) == s) for r in rows]
     assert sum(want) == 1 + 2 + 3 and want == [descend(tree, r) for r in rows]

@@ -299,6 +299,9 @@ def test_whole_stream_window_config(train_streams, test_stream):
 
 
 def test_float_bundle_rejects_hardware_scoring(tp_vpca):
+    # a float bundle scores windows with the SVM and builds no stream model
+    assert tp_vpca.stream_model is None
+    assert load_bundle(save_bundle(tp_vpca)).stream_model is None
     counts = np.zeros(tp_vpca.tree.n_points)
     counts[0] = tp_vpca.config.s_window
     with pytest.raises(DataError, match="not trained for the hardware profile"):
@@ -536,6 +539,9 @@ def block_models(train_streams, tp_vpca, tp_pca, tp_hw):
     models = {
         "vpca": tp_vpca,
         "pca": tp_pca,
+        # OpenBLAS projects onto one component as a matrix-vector product,
+        # which sums the last n mod 4 rows of a whole matrix in another order
+        "pca-1": train_pipeline(small_config(pca_mode="pca", pca_dims=1), streams),
         "none": train_pipeline(small_config(pca_mode="none"), streams),
         "vpca-hardware": tp_hw,
         "pca-hardware": train_pipeline(small_config(pca_mode="pca", pca_dims=6, profile="hardware"),
@@ -596,13 +602,45 @@ def test_blocked_leaves_equal_whole_matrix_descent(block_models, model):
                     want = _whole_matrix_leaves(tp, rect_cfg, stream, profile)
                     assert got.dtype == np.int64
                     assert np.array_equal(got, want), (s, p, q, normalize, len(stream), profile)
-    # without the kernels the whole matrix is one block
-    rect_cfg = dataclasses.replace(tp.config.rect_cfg, s=BLOCK // 3)
+
+
+@pytest.mark.parametrize("model", ["vpca", "pca", "pca-1", "none", "vpca-hardware", "pca-hardware"])
+def test_fallback_leaves_equal_native_leaves(block_models, model):
+    """Without the kernels, the RectState replay fills blocks of the same
+    rows as the C patch copy, which project and descend as the kernels' do:
+    the same leaves for every stream length, also for one PCA component."""
+    tp, profiles = block_models[model]
+    events = _random_events(tp.config.geometry, LENGTHS[-1])
+    streams = [_prefix(events, n) for n in LENGTHS] + [_one_pixel_events(tp.config.geometry, LENGTHS[-1])]
+    for normalize in (True, False):
+        rect_cfg = dataclasses.replace(tp.config.rect_cfg, s=BLOCK // 3, normalize=normalize)
+        cases = [(stream, profile) for stream in streams for profile in profiles]
+        native = [_blocked_leaves(tp, rect_cfg, stream, profile) for stream, profile in cases]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_native, "load", lambda: None)
+            fallback = [_blocked_leaves(tp, rect_cfg, stream, profile) for stream, profile in cases]
+        for (stream, profile), got, want in zip(cases, fallback, native):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (normalize, len(stream), profile)
+
+
+def test_fallback_describes_block_by_block(small_geometry):
+    """Without the kernels, the describe loop fills one reused buffer of at
+    most _BLOCK_ROWS rows, whose rows are the whole matrix's."""
+    n = 3 * BLOCK + 7
+    events = _random_events(small_geometry, n)
+    rect_cfg = RectConfig(s=BLOCK // 3, p=2, q=3, w=5)
+    desc, _ = extract_stream_descriptors(small_geometry, rect_cfg, events)
+    spans, got = [], np.empty_like(desc)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_native, "load", lambda: None)
-        fallback = {p: _blocked_leaves(tp, rect_cfg, events, p) for p in profiles}
-    for profile in profiles:
-        assert np.array_equal(fallback[profile], _whole_matrix_leaves(tp, rect_cfg, events, profile))
+        for start, stop, rows, norm in pipeline_mod._descriptor_blocks(small_geometry, rect_cfg, events):
+            assert len(rows) <= BLOCK and norm is not None
+            spans.append((start, stop))
+            got[start:stop] = rows[: stop - start]
+            pipeline_mod._normalize(got[start:stop], norm)
+    assert spans == [(0, BLOCK), (BLOCK, 2 * BLOCK), (2 * BLOCK, 3 * BLOCK), (3 * BLOCK, n)]
+    assert got.tobytes() == desc.tobytes()
 
 
 def test_sampled_rows_equal_whole_matrix_rows(small_geometry):
